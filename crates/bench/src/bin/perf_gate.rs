@@ -3,8 +3,8 @@
 //! `cargo run --release -p zerodev-bench --bin perf_gate -- <BENCH_prev.json>`
 //!
 //! Re-measures the standardized gate probe (`zerodev_bench::report::
-//! measure_gate`: a fixed serial simulation pair, the sharded-driver probe,
-//! and a bounded model-checker exploration) on the current build and
+//! measure_gate`: a fixed serial simulation pair and a bounded
+//! model-checker exploration) on the current build and
 //! compares it against the `gate_*` numbers of the committed report given
 //! as the argument. Exits nonzero when any gate metric regressed by more
 //! than [`MAX_REGRESSION`] (throughputs: lower is worse).
@@ -19,16 +19,16 @@
 //! verdict can be read in context.
 //!
 //! Baselines must carry a known schema tag (`zerodev-bench-v1` or `-v2`);
-//! a missing or unknown schema, or a missing/malformed gate field that the
-//! schema says must exist, is a structured failure naming the field and
-//! file — never a panic. v1 baselines simply lack the shard-probe fields,
-//! so those comparisons are skipped for them.
+//! a missing or unknown schema, or a missing/malformed gate field, is a
+//! structured failure naming the field and file — never a panic. Both
+//! schemas carry the three compared `gate_*` fields; keys only `v2` has are
+//! ignored.
 //!
 //! Skip in CI with `ZERODEV_NO_PERF_GATE=1` (handled by `scripts/ci.sh`;
 //! the binary also honours it so a local invocation behaves the same).
 
 use zerodev_bench::report::{
-    json_number, json_number_required, json_string, measure_gate, SCHEMA, SCHEMA_V1,
+    json_number, json_number_required, json_string, measure_gate, SCHEMA, SCHEMA_V2,
 };
 use zerodev_common::env;
 
@@ -52,17 +52,13 @@ fn main() {
         eprintln!("perf gate: {path}: field \"schema\" is missing or not a string");
         std::process::exit(2);
     });
-    let has_shard_probe = match schema.as_str() {
-        SCHEMA => true,
-        SCHEMA_V1 => false,
-        other => {
-            eprintln!(
-                "perf gate: {path}: unknown schema {other:?} \
-                 (expected {SCHEMA:?} or {SCHEMA_V1:?})"
-            );
-            std::process::exit(2);
-        }
-    };
+    if schema != SCHEMA && schema != SCHEMA_V2 {
+        eprintln!(
+            "perf gate: {path}: unknown schema {schema:?} \
+             (expected {SCHEMA:?} or {SCHEMA_V2:?})"
+        );
+        std::process::exit(2);
+    }
     // Full-run numbers depend on the baseline's mode; the gate never
     // compares them, but echo the flags so the context is visible.
     let quick = if committed.contains("\"quick\": true") {
@@ -81,24 +77,11 @@ fn main() {
     );
     println!("perf gate: measuring standardized probe...");
     let fresh = measure_gate();
-    let mut checks = vec![
+    let checks = [
         ("gate_sim_cycles_per_sec", fresh.sim_cycles_per_sec),
         ("gate_refs_per_sec", fresh.refs_per_sec),
         ("gate_mc_states_per_sec", fresh.mc_states_per_sec),
     ];
-    if has_shard_probe {
-        checks.push((
-            "gate_shard_serial_cycles_per_sec",
-            fresh.shard_serial_cycles_per_sec,
-        ));
-        checks.push(("gate_sharded_cycles_per_sec", fresh.sharded_cycles_per_sec));
-    } else {
-        println!(
-            "  (v1 baseline: shard-probe comparisons skipped; measured \
-             serial {:.0} -> sharded {:.0} cyc/s)",
-            fresh.shard_serial_cycles_per_sec, fresh.sharded_cycles_per_sec
-        );
-    }
     let mut failed = false;
     for (key, now) in checks {
         let prev = match json_number_required(&committed, key) {
@@ -109,7 +92,7 @@ fn main() {
             }
         };
         if prev <= 0.0 {
-            println!("  {key:<33} baseline non-positive ({prev}); skipping");
+            println!("  {key:<24} baseline non-positive ({prev}); skipping");
             continue;
         }
         let ratio = now / prev;
@@ -119,7 +102,7 @@ fn main() {
         } else {
             "ok"
         };
-        println!("  {key:<33} {prev:>14.0} -> {now:>14.0}  ({ratio:>5.2}x)  {verdict}");
+        println!("  {key:<24} {prev:>14.0} -> {now:>14.0}  ({ratio:>5.2}x)  {verdict}");
     }
     if failed {
         eprintln!(

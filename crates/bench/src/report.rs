@@ -23,20 +23,19 @@
 
 use std::time::{Duration, Instant};
 use zerodev_common::config::{LlcDesign, SpillPolicy};
-use zerodev_common::SystemConfig;
 use zerodev_model::config::tiny;
 use zerodev_model::{explore, Limits};
 use zerodev_sim::parallel::SweepSummary;
 use zerodev_sim::runner::{run, RunParams};
 
-/// Identifies the report format for future readers. `v2` added the sharded
-/// gate probe (`gate_shard_serial_cycles_per_sec` /
-/// `gate_sharded_cycles_per_sec`); the gate fields of `v1` are a strict
-/// subset, so `perf_gate` accepts both.
-pub const SCHEMA: &str = "zerodev-bench-v2";
+/// Identifies the report format for future readers: the format the writer
+/// emits.
+pub const SCHEMA: &str = "zerodev-bench-v1";
 
-/// The previous report format, still accepted as a gate baseline.
-pub const SCHEMA_V1: &str = "zerodev-bench-v1";
+/// A superset of [`SCHEMA`] that also carried two keys of a since-removed
+/// intra-run parallelism probe. Still accepted as a gate baseline; the
+/// extra keys are ignored.
+pub const SCHEMA_V2: &str = "zerodev-bench-v2";
 
 /// Wall time and outcome of one figure inside an `all_figures` run.
 #[derive(Clone, Debug)]
@@ -58,14 +57,6 @@ pub struct GateNumbers {
     pub refs_per_sec: f64,
     /// Model-checker states explored per second of the fixed exploration.
     pub mc_states_per_sec: f64,
-    /// Simulated cycles per second of the fixed shard probe (the paper's
-    /// four-socket machine) run serially — the denominator of the
-    /// intra-run parallelism speedup. Schema v2; 0.0 in v1 baselines.
-    pub shard_serial_cycles_per_sec: f64,
-    /// The same probe at `ZERODEV_SHARDS=4`. Byte-identical results, so
-    /// the ratio to the serial number is pure wall-clock speedup.
-    /// Schema v2; 0.0 in v1 baselines.
-    pub sharded_cycles_per_sec: f64,
 }
 
 /// One committed benchmark report.
@@ -126,14 +117,6 @@ impl BenchReport {
             "gate_mc_states_per_sec",
             fmt_f64(self.gate.mc_states_per_sec),
         );
-        field(
-            "gate_shard_serial_cycles_per_sec",
-            fmt_f64(self.gate.shard_serial_cycles_per_sec),
-        );
-        field(
-            "gate_sharded_cycles_per_sec",
-            fmt_f64(self.gate.sharded_cycles_per_sec),
-        );
         out.push_str("  \"figures\": [\n");
         for (i, f) in self.figures.iter().enumerate() {
             let comma = if i + 1 < self.figures.len() { "," } else { "" };
@@ -148,22 +131,12 @@ impl BenchReport {
         out
     }
 
-    /// Wall-clock speedup of the sharded gate probe over its serial twin
-    /// (0.0 when the report predates the shard probe).
-    pub fn shard_speedup(&self) -> f64 {
-        if self.gate.shard_serial_cycles_per_sec <= 0.0 {
-            return 0.0;
-        }
-        self.gate.sharded_cycles_per_sec / self.gate.shard_serial_cycles_per_sec
-    }
-
     /// One-line human digest of the report (the `all_figures` stderr line).
     pub fn digest(&self) -> String {
         let elapsed = Duration::from_secs_f64(self.wall_secs.max(1e-9));
         format!(
             "BENCH pr{}: {:.1}M sim-cycles/s, {:.0}K refs/s (full run, {} threads); \
-             gate {:.1}M cyc/s, {:.0}K refs/s, {:.0}K mc-states/s; \
-             shard gate {:.1}M → {:.1}M cyc/s ({:.2}x at 4 shards); memo hit rate {:.0}%",
+             gate {:.1}M cyc/s, {:.0}K refs/s, {:.0}K mc-states/s; memo hit rate {:.0}%",
             self.pr,
             self.summary.cycles_per_sec(elapsed) / 1e6,
             self.summary.refs_per_sec(elapsed) / 1e3,
@@ -171,9 +144,6 @@ impl BenchReport {
             self.gate.sim_cycles_per_sec / 1e6,
             self.gate.refs_per_sec / 1e3,
             self.gate.mc_states_per_sec / 1e3,
-            self.gate.shard_serial_cycles_per_sec / 1e6,
-            self.gate.sharded_cycles_per_sec / 1e6,
-            self.shard_speedup(),
             self.memo_hit_rate() * 100.0,
         )
     }
@@ -257,7 +227,6 @@ fn gate_sim_probe() -> (u64, u64) {
         refs_per_core: 20_000,
         warmup_refs: 2_000,
         threads: 1,
-        shards: 1,
         audit: false,
         faults: None,
         ..Default::default()
@@ -275,41 +244,14 @@ fn gate_sim_probe() -> (u64, u64) {
     (cycles, refs)
 }
 
-/// The fixed intra-run-parallelism probe: the paper's four-socket machine
-/// (32 cores, full-size LLC — the configuration whose wall clock dominates
-/// full reproductions) running one multi-threaded workload. Measured with
-/// identical parameters at `shards = 1` (the exact serial loop) and
-/// `shards = 4`; the results are byte-identical, so the throughput ratio
-/// is pure wall-clock speedup of the sharded driver.
-fn gate_shard_probe(shards: usize) -> u64 {
-    let params = RunParams {
-        refs_per_core: 12_000,
-        warmup_refs: 1_200,
-        threads: 1,
-        shards,
-        audit: false,
-        faults: None,
-        ..Default::default()
-    };
-    let r = run(
-        &SystemConfig::four_socket(),
-        crate::mt("swaptions", 32),
-        &params,
-    );
-    r.result.completion_cycles
-}
-
 /// Measures the standardized gate probe: best-of-3 timings of the fixed
-/// simulation pair, the shard probe (serial and 4-shard), and a bounded
-/// model-checker exploration (best-of-N filters scheduler noise, which
+/// simulation pair and a bounded model-checker exploration (best-of-N filters scheduler noise, which
 /// only ever slows a run down).
 pub fn measure_gate() -> GateNumbers {
     let mut sim_best = GateNumbers {
         sim_cycles_per_sec: 0.0,
         refs_per_sec: 0.0,
         mc_states_per_sec: 0.0,
-        shard_serial_cycles_per_sec: 0.0,
-        sharded_cycles_per_sec: 0.0,
     };
     for _ in 0..3 {
         let t0 = Instant::now();
@@ -319,19 +261,6 @@ pub fn measure_gate() -> GateNumbers {
             sim_best.sim_cycles_per_sec = cycles as f64 / dt;
             sim_best.refs_per_sec = refs as f64 / dt;
         }
-    }
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        let cycles = gate_shard_probe(1);
-        let dt = t0.elapsed().as_secs_f64().max(1e-9);
-        sim_best.shard_serial_cycles_per_sec =
-            sim_best.shard_serial_cycles_per_sec.max(cycles as f64 / dt);
-    }
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        let cycles = gate_shard_probe(4);
-        let dt = t0.elapsed().as_secs_f64().max(1e-9);
-        sim_best.sharded_cycles_per_sec = sim_best.sharded_cycles_per_sec.max(cycles as f64 / dt);
     }
     let mc = tiny(
         SpillPolicy::FusePrivateSpillShared,
@@ -372,8 +301,6 @@ mod tests {
                 sim_cycles_per_sec: 5.5e6,
                 refs_per_sec: 2.5e5,
                 mc_states_per_sec: 1.25e4,
-                shard_serial_cycles_per_sec: 1.0e7,
-                sharded_cycles_per_sec: 2.0e7,
             },
             figures: vec![
                 FigureTiming {
@@ -408,13 +335,36 @@ mod tests {
         assert_eq!(json_number(&j, "gate_sim_cycles_per_sec"), Some(5.5e6));
         assert_eq!(json_number(&j, "gate_refs_per_sec"), Some(2.5e5));
         assert_eq!(json_number(&j, "gate_mc_states_per_sec"), Some(1.25e4));
-        assert_eq!(
-            json_number(&j, "gate_shard_serial_cycles_per_sec"),
-            Some(1.0e7)
-        );
-        assert_eq!(json_number(&j, "gate_sharded_cycles_per_sec"), Some(2.0e7));
         assert_eq!(json_number(&j, "no_such_key"), None);
         assert_eq!(json_string(&j, "schema").as_deref(), Some(SCHEMA));
+        // The writer emits exactly the v1 field set, in order.
+        let keys: Vec<&str> = j
+            .lines()
+            .filter_map(|l| l.strip_prefix("  \""))
+            .filter_map(|l| l.split('"').next())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "schema",
+                "pr",
+                "threads",
+                "quick",
+                "wall_secs",
+                "sim_cycles",
+                "refs_retired",
+                "sim_cycles_per_sec",
+                "refs_per_sec",
+                "runs_executed",
+                "cache_hits",
+                "memo_hit_rate",
+                "failed_points",
+                "gate_sim_cycles_per_sec",
+                "gate_refs_per_sec",
+                "gate_mc_states_per_sec",
+                "figures",
+            ]
+        );
     }
 
     #[test]
@@ -428,14 +378,6 @@ mod tests {
         assert_eq!(bad.field, "pr");
         assert!(bad.problem.contains("not a number"), "{bad}");
         assert!(bad.to_string().contains("\"pr\""), "{bad}");
-    }
-
-    #[test]
-    fn shard_speedup_handles_v1_reports() {
-        let mut r = sample();
-        assert!((r.shard_speedup() - 2.0).abs() < 1e-9);
-        r.gate.shard_serial_cycles_per_sec = 0.0;
-        assert_eq!(r.shard_speedup(), 0.0);
     }
 
     #[test]

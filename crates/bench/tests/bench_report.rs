@@ -3,7 +3,7 @@
 //! keys the CI perf gate and future trend tooling read. Catches a
 //! hand-edited or truncated report before the gate trips over it.
 
-use zerodev_bench::report::{json_number, json_string, SCHEMA, SCHEMA_V1};
+use zerodev_bench::report::{json_number, json_string, SCHEMA, SCHEMA_V2};
 
 /// Keys every committed report must expose as positive numbers.
 const REQUIRED_POSITIVE: &[&str] = &[
@@ -18,13 +18,6 @@ const REQUIRED_POSITIVE: &[&str] = &[
     "gate_sim_cycles_per_sec",
     "gate_refs_per_sec",
     "gate_mc_states_per_sec",
-];
-
-/// Keys the v2 schema added (sharded-driver gate probe); v1 reports
-/// committed before the probe existed legitimately lack them.
-const REQUIRED_POSITIVE_V2: &[&str] = &[
-    "gate_shard_serial_cycles_per_sec",
-    "gate_sharded_cycles_per_sec",
 ];
 
 /// Keys that must parse but may legitimately be zero.
@@ -59,15 +52,11 @@ fn committed_bench_reports_satisfy_the_schema() {
         let schema = json_string(&text, "schema")
             .unwrap_or_else(|| panic!("{} lacks a schema marker", path.display()));
         assert!(
-            schema == SCHEMA || schema == SCHEMA_V1,
-            "{}: unknown schema {schema:?} (expected {SCHEMA:?} or {SCHEMA_V1:?})",
+            schema == SCHEMA || schema == SCHEMA_V2,
+            "{}: unknown schema {schema:?} (expected {SCHEMA:?} or {SCHEMA_V2:?})",
             path.display()
         );
-        let mut required_positive = REQUIRED_POSITIVE.to_vec();
-        if schema == SCHEMA {
-            required_positive.extend_from_slice(REQUIRED_POSITIVE_V2);
-        }
-        for key in required_positive {
+        for key in REQUIRED_POSITIVE {
             let v = json_number(&text, key)
                 .unwrap_or_else(|| panic!("{}: key {key:?} missing", path.display()));
             assert!(

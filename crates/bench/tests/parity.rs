@@ -42,12 +42,6 @@ const DESIGNS: [LlcDesign; 3] = [
 
 /// One audited short run; returns the behaviour fingerprint.
 fn point(policy: SpillPolicy, design: LlcDesign, sockets: usize) -> u64 {
-    point_sharded(policy, design, sockets, 1)
-}
-
-/// [`point`] with an explicit shard count for the sharded-driver parity
-/// matrix (`shards = 1` is the exact serial event loop).
-fn point_sharded(policy: SpillPolicy, design: LlcDesign, sockets: usize, shards: usize) -> u64 {
     let mut cfg = if sockets == 1 {
         SystemConfig::baseline_8core()
     } else {
@@ -71,7 +65,6 @@ fn point_sharded(policy: SpillPolicy, design: LlcDesign, sockets: usize, shards:
         refs_per_core: if sockets == 1 { 2_500 } else { 1_200 },
         warmup_refs: 300,
         threads: 1,
-        shards,
         audit: true,
         faults: None,
         ..Default::default()
@@ -133,35 +126,14 @@ fn audited_matrix_matches_pinned_fingerprints() {
     }
 }
 
-/// The sharded driver's hard invariant (DESIGN.md §8): at any shard count
-/// the run is **byte-identical** to the serial event loop. The serial
-/// goldens above therefore *are* the sharded expectations — no separate
-/// harvest, no tolerance. Every point of the audited matrix is re-run at
-/// 2 and 4 shards and must land on the exact pinned fingerprint.
+/// Sweep-thread determinism under an active fault plan: `ZERODEV_THREADS`
+/// (expressed directly through `RunParams` so the test cannot race on
+/// process-global env vars) must produce one identical fingerprint — fault
+/// draws included — with the coherence oracle armed. Message-level faults
+/// only: state-corruption faults deliberately trip the oracle, which is
+/// its own test elsewhere.
 #[test]
-fn sharded_matrix_matches_the_serial_goldens() {
-    for (i, (policy, design, sockets)) in matrix_points().into_iter().enumerate() {
-        for shards in [2usize, 4] {
-            let got = point_sharded(policy, design, sockets, shards);
-            assert_eq!(
-                got, GOLDEN[i],
-                "sharded run diverged from serial at \
-                 {policy:?}/{design:?}/{sockets} socket(s) with {shards} shard(s) \
-                 (matrix index {i}): got {got:#018x}, pinned {:#018x}",
-                GOLDEN[i]
-            );
-        }
-    }
-}
-
-/// Shard × sweep-thread determinism under an active fault plan: the
-/// `ZERODEV_SHARDS` × `ZERODEV_THREADS` grid (expressed directly through
-/// `RunParams` so the test cannot race on process-global env vars) must
-/// produce one identical fingerprint — fault draws included — with the
-/// coherence oracle armed. Message-level faults only: state-corruption
-/// faults deliberately trip the oracle, which is its own test elsewhere.
-#[test]
-fn shards_and_threads_agree_under_audit_and_faults() {
+fn threads_agree_under_audit_and_faults() {
     let cfg = SystemConfig::four_socket().with_zerodev(
         ZeroDevConfig {
             policy: SpillPolicy::FusePrivateSpillShared,
@@ -177,12 +149,11 @@ fn shards_and_threads_agree_under_audit_and_faults() {
         dup_ppm: 300,
         ..Default::default()
     };
-    let fingerprint = |shards: usize, threads: usize| {
+    let fingerprint = |threads: usize| {
         let params = RunParams {
             refs_per_core: 1_000,
             warmup_refs: 200,
             threads,
-            shards,
             audit: true,
             faults: Some(faults),
             ..Default::default()
@@ -194,15 +165,13 @@ fn shards_and_threads_agree_under_audit_and_faults() {
             r.stats, r.faults, r.core_cycles, r.core_instrs, r.completion_cycles, r.refs_retired
         ))
     };
-    let reference = fingerprint(1, 1);
-    for (shards, threads) in [(1, 4), (2, 1), (2, 4), (4, 1), (4, 4)] {
-        let got = fingerprint(shards, threads);
-        assert_eq!(
-            got, reference,
-            "faulted audited run diverged at shards={shards}, threads={threads}: \
-             got {got:#018x}, serial single-thread reference {reference:#018x}"
-        );
-    }
+    let reference = fingerprint(1);
+    let got = fingerprint(4);
+    assert_eq!(
+        got, reference,
+        "faulted audited run diverged at threads=4: \
+         got {got:#018x}, single-thread reference {reference:#018x}"
+    );
 }
 
 /// Harvest helper: prints the matrix in golden-array form.

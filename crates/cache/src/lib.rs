@@ -25,4 +25,4 @@ mod evbuf;
 mod setassoc;
 
 pub use evbuf::EvictionBuffer;
-pub use setassoc::{Replacement, SetAssoc, SetUndo};
+pub use setassoc::{Replacement, SetAssoc};

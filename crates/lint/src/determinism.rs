@@ -1,9 +1,9 @@
 //! Pass 1: determinism lints.
 //!
 //! The simulator's headline guarantee is byte-identical output across
-//! thread counts, shard counts, and kill/resume boundaries. Anything that
-//! imports ambient nondeterminism — hash-randomized containers, wall
-//! clocks, unmanaged threads, OS randomness — can silently break that, so
+//! thread counts and kill/resume boundaries. Anything that imports ambient
+//! nondeterminism — hash-randomized containers, wall clocks, unmanaged
+//! threads, OS randomness — can silently break that, so
 //! in the deterministic crates (`cache`, `common`, `core`, `sim`,
 //! `workloads`) these identifiers are denied outright and every remaining
 //! use must carry an audited `lint:allow` waiver:
@@ -16,8 +16,8 @@
 //! | `ambient_randomness` | `thread_rng`, `getrandom`, `rand`, `from_entropy` |
 //!
 //! Test modules are stripped before this pass runs: assertions may hash
-//! freely. `sim::parallel` / `sim::shard` hold the audited waivers for the
-//! sweep driver's threads and timers — the wall clock there feeds stderr
+//! freely. `sim::parallel` holds the audited waivers for the sweep
+//! harness's threads and timers — the wall clock there feeds stderr
 //! progress only, never simulated state.
 
 use crate::lexer::Tok;

@@ -6,7 +6,7 @@
 //! evictions are notified to the uncore (clean notices are dataless),
 //! keeping the directory exact — the protocol relies on this (§III-A).
 
-use zerodev_cache::{Replacement, SetAssoc, SetUndo};
+use zerodev_cache::{Replacement, SetAssoc};
 use zerodev_common::snap::{SnapError, SnapReader, SnapWriter};
 use zerodev_common::{BlockAddr, CoreId, Cycle, MesiState, SocketId, SystemConfig};
 use zerodev_core::{EvictKind, Op, System};
@@ -39,111 +39,6 @@ fn mesi_from_tag(tag: u8) -> Result<MesiState, SnapError> {
             })
         }
     })
-}
-
-/// One reference the sharded engine speculated ahead of the global commit
-/// order (`crate::shard`): a *pure private* access — L1 hit, L1-miss/L2-hit
-/// refill, or silent E→M store — whose entire effect is confined to this
-/// core's hierarchy plus a known latency and L1-miss counter delta. The
-/// commit walker replays the counter delta and latency in exact global
-/// event order; the cache-array effects already happened on the core's
-/// hierarchy (guarded by a copy-on-write undo log, [`ModelUndo`]).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct SpecEntry {
-    /// The speculated reference.
-    pub mref: MemRef,
-    /// Core-visible latency (private hierarchy only; no uncore share).
-    pub latency: u64,
-    /// True when the reference missed the L1 and refilled it from the L2
-    /// (the walker then applies the matching `l1i_misses`/`l1d_misses`
-    /// increment at commit time, and conflict checks must treat the entry
-    /// as an insertion into its L1 set).
-    pub l1_fill: bool,
-}
-
-/// Per-epoch copy-on-write undo log for one core's speculation
-/// (`crate::shard`): before a speculated reference or an uncore delivery
-/// mutates a cache set, that set's contents are saved here — once per set
-/// per epoch. Rolling back a poisoned speculation is then a restore of the
-/// touched sets plus a replay of the committed prefix; the full hierarchy
-/// is never copied.
-#[derive(Debug)]
-pub(crate) struct ModelUndo {
-    l1i: CacheUndo<()>,
-    l1d: CacheUndo<()>,
-    l2: CacheUndo<L2Line>,
-}
-
-impl ModelUndo {
-    /// An empty log sized for `cm`'s cache geometries.
-    pub(crate) fn for_model(cm: &CoreModel) -> Self {
-        ModelUndo {
-            l1i: CacheUndo::new(cm.l1i.sets()),
-            l1d: CacheUndo::new(cm.l1d.sets()),
-            l2: CacheUndo::new(cm.l2.sets()),
-        }
-    }
-
-    /// Starts a new epoch: previous snapshots are forgotten in O(1).
-    pub(crate) fn begin_epoch(&mut self) {
-        self.l1i.begin();
-        self.l1d.begin();
-        self.l2.begin();
-    }
-}
-
-/// The per-cache half of [`ModelUndo`]: a pooled snapshot stack plus an
-/// epoch stamp per set that deduplicates saves within an epoch.
-#[derive(Debug)]
-struct CacheUndo<T> {
-    /// Snapshot pool; `saved[..used]` are live this epoch.
-    saved: Vec<SetUndo<T>>,
-    used: usize,
-    /// Last epoch each set was saved in.
-    stamp: Vec<u32>,
-    epoch: u32,
-}
-
-impl<T: Clone> CacheUndo<T> {
-    fn new(sets: usize) -> Self {
-        CacheUndo {
-            saved: Vec::new(),
-            used: 0,
-            stamp: vec![0; sets],
-            epoch: 0,
-        }
-    }
-
-    fn begin(&mut self) {
-        self.used = 0;
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Stamp wrap-around (once per 2^32 epochs): clear and restart.
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
-    }
-
-    fn save(&mut self, cache: &SetAssoc<T>, key: u64) {
-        let set = cache.set_index(key);
-        if self.stamp[set] == self.epoch {
-            return;
-        }
-        self.stamp[set] = self.epoch;
-        if self.used == self.saved.len() {
-            self.saved.push(SetUndo::default());
-        }
-        cache.save_set(key, &mut self.saved[self.used]);
-        self.used += 1;
-    }
-
-    fn restore(&self, cache: &mut SetAssoc<T>) {
-        // Each set is saved at most once per epoch with its pre-epoch
-        // contents and distinct sets do not overlap, so order is free.
-        for u in &self.saved[..self.used] {
-            cache.restore_set(u);
-        }
-    }
 }
 
 /// Effects of one core access that the engine must apply to *other* cores.
@@ -359,81 +254,6 @@ impl CoreModel {
                 &mut fx.invalidations,
             );
         }
-    }
-
-    /// [`Self::speculate`] with copy-on-write set snapshots: the cache sets
-    /// the reference will touch are saved into `undo` first (once per set
-    /// per epoch), so a poisoned speculation rolls back by
-    /// [`Self::restore_from`] + replay instead of a full-hierarchy copy —
-    /// the sharded engine speculates directly on the committed hierarchy.
-    pub(crate) fn speculate_cow(&mut self, r: MemRef, undo: &mut ModelUndo) -> Option<SpecEntry> {
-        let st = self.state_of(r.block);
-        if st == MesiState::Invalid || (r.write && st == MesiState::Shared) {
-            // Pause before any snapshot: nothing is going to mutate.
-            return None;
-        }
-        if r.code {
-            undo.l1i.save(&self.l1i, r.block.0);
-        } else {
-            undo.l1d.save(&self.l1d, r.block.0);
-        }
-        undo.l2.save(&self.l2, r.block.0);
-        self.speculate(r)
-    }
-
-    /// Saves the sets an uncore delivery for `block` may touch (an
-    /// invalidation reaches both L1s and the L2; a downgrade only the L2 —
-    /// saved uniformly, the dedup makes the distinction moot).
-    pub(crate) fn save_delivery_sets(&self, block: BlockAddr, undo: &mut ModelUndo) {
-        undo.l1i.save(&self.l1i, block.0);
-        undo.l1d.save(&self.l1d, block.0);
-        undo.l2.save(&self.l2, block.0);
-    }
-
-    /// Restores every set saved in `undo` this epoch, returning the
-    /// hierarchy to its state at the matching [`ModelUndo::begin_epoch`].
-    pub(crate) fn restore_from(&mut self, undo: &ModelUndo) {
-        undo.l1i.restore(&mut self.l1i);
-        undo.l1d.restore(&mut self.l1d);
-        undo.l2.restore(&mut self.l2);
-    }
-
-    /// Attempts to execute `r` purely within this private hierarchy,
-    /// without touching the uncore, global statistics, or simulated time —
-    /// the sharded engine's speculation step.
-    ///
-    /// Returns `None` — with this hierarchy left untouched — when the
-    /// reference needs the uncore (a full private miss, or a store to a
-    /// Shared line): those references must run through the ordinary
-    /// [`Self::access_into`] path at their committed position in the global
-    /// event order. Otherwise performs exactly the private-hierarchy effect
-    /// `access_into` would have (L1/L2 recency, L1 refill, silent E→M
-    /// upgrade) and returns the entry the commit walker needs to replay the
-    /// latency and L1-miss accounting in order.
-    pub(crate) fn speculate(&mut self, r: MemRef) -> Option<SpecEntry> {
-        let st = self.state_of(r.block);
-        if st == MesiState::Invalid || (r.write && st == MesiState::Shared) {
-            return None;
-        }
-        let key = r.block.0;
-        let mut latency = self.l1_hit;
-        let l1 = if r.code { &mut self.l1i } else { &mut self.l1d };
-        let l1_fill = l1.touch(key, |_| true).is_none();
-        if l1_fill {
-            // L1 miss, L2 hit (the line is valid here): refill the L1.
-            latency += self.l2_hit;
-            let _ = self.l2.touch(key, |_| true);
-            let l1 = if r.code { &mut self.l1i } else { &mut self.l1d };
-            let _ = l1.insert(key, (), |_| false);
-        }
-        if r.write && st == MesiState::Exclusive {
-            self.set_state(r.block, MesiState::Modified);
-        }
-        Some(SpecEntry {
-            mref: r,
-            latency,
-            l1_fill,
-        })
     }
 
     /// Applies an invalidation from the uncore. Returns the state the line

@@ -20,10 +20,9 @@ pub const DEFAULT_WATCHDOG_HORIZON: u64 = 1_000_000;
 /// reference).
 pub const DEFAULT_WATCHDOG_PERIOD: u64 = 4_096;
 
-/// The forward-progress watchdog's tuning knobs. Shared by the serial loop
-/// and the sharded commit walker so a configured horizon applies to both;
-/// the watchdog only reads the event stream, so results are byte-identical
-/// at any setting that does not fire.
+/// The forward-progress watchdog's tuning knobs. The watchdog only reads
+/// the event stream, so results are byte-identical at any setting that
+/// does not fire.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct Watchdog {
     /// Cycles of per-core heartbeat silence that declare a stall.
@@ -284,10 +283,9 @@ impl SimResult {
     }
 }
 
-/// Where [`apply_effects_via`] lands invalidations/downgrades: the serial
-/// engine routes them straight into its `Vec<CoreModel>`, while the sharded
-/// driver (`crate::shard`) interposes its speculation bookkeeping (poison
-/// detection, delivery logging) before the same per-core application.
+/// Where [`apply_effects_via`] lands invalidations/downgrades. The engine's
+/// sink routes them straight into its `Vec<CoreModel>`; the trait keeps the
+/// effect contract independent of who holds the private hierarchies.
 pub(crate) trait EffectSink {
     /// Downgrades `block` at `(socket, core)`; returns true when the copy
     /// was Modified (the caller then reports the sharing writeback).
@@ -315,9 +313,7 @@ pub(crate) trait EffectSink {
 /// Drains the effect buffer in place so callers can reuse one allocation
 /// across every reference: invalidations are consumed LIFO off the tail
 /// while cascading recalls append to the same vector — exactly the order
-/// the former take-and-extend version processed. Shared verbatim between
-/// the serial loop and the sharded commit walker so the two paths cannot
-/// drift.
+/// the former take-and-extend version processed.
 // Responses terminate at the requesting core: delivering them generates
 // no further traffic, which is what makes vnet 3 the drain of the order.
 // lint:consumes(Data, Ack, MemReadData, SocketData)
@@ -351,89 +347,6 @@ pub(crate) fn apply_effects_via(
         }
     }
     latency
-}
-
-/// Requester-side fault handling *before* the access reaches the uncore
-/// (see [`Simulation::fault_pre`] for semantics). Free-standing so the
-/// sharded commit walker can drive the identical fault path without a
-/// `Simulation` value.
-#[allow(clippy::too_many_arguments)] // one call site per driver; a params struct would only obscure it
-                                     // lint:consumes(DenfNack)
-pub(crate) fn fault_pre_at(
-    sys: &mut System,
-    faults: &mut Option<Box<FaultPlan>>,
-    t: usize,
-    socket: SocketId,
-    core: CoreId,
-    issue: u64,
-    block: zerodev_common::BlockAddr,
-    d: crate::faults::FaultDraw,
-) -> Result<(), SimError> {
-    let Some(len) = d.nack_storm else {
-        return Ok(());
-    };
-    let plan = faults.as_deref_mut().expect("fault draw without a plan");
-    let budget = plan.config().retry_budget;
-    if len > budget {
-        return Err(SimError::Stalled {
-            core: t,
-            cycle: issue,
-            last_event: format!(
-                "DENF_NACK storm of {len} on {block:?} exceeded the retry budget of {budget}"
-            ),
-        });
-    }
-    // The nacked request is re-issued after backoff: the one audited
-    // descent in the MsgClass order (DESIGN.md §12). The cycle cannot
-    // sustain itself — backoff grows with the storm length and the retry
-    // budget turns an unbounded storm into SimError::Stalled.
-    // lint:allow(msg_class_cycle, bounded DENF_NACK retry: backoff + hard retry budget guarantee drain)
-    plan.stats.nack_storms += 1; // lint:emits(Request)
-    plan.stats.nacks += u64::from(len);
-    plan.stats.backoff_cycles += plan.config().backoff_cycles(len);
-    let mut phantom = 0u64;
-    for _ in 0..len {
-        phantom += sys.fault_route(socket, core, block, MsgClass::DenfNack.bytes());
-    }
-    plan.stats.phantom_noc_cycles += phantom;
-    Ok(())
-}
-
-/// Completion-side fault handling *after* the access resolved (see
-/// [`Simulation::fault_post`] for semantics). Free-standing for the same
-/// reason as [`fault_pre_at`].
-pub(crate) fn fault_post_at(
-    sys: &mut System,
-    faults: &mut Option<Box<FaultPlan>>,
-    socket: SocketId,
-    core: CoreId,
-    done: u64,
-    block: zerodev_common::BlockAddr,
-    d: crate::faults::FaultDraw,
-) {
-    if let Some(extra) = d.delay {
-        let plan = faults.as_deref_mut().expect("plan present");
-        plan.stats.delayed += 1;
-        plan.stats.delay_cycles += extra;
-    }
-    if d.duplicate {
-        let current = sys.duplicate_completion_is_current(socket, core, block);
-        let phantom = sys.fault_route(socket, core, block, MsgClass::Data.bytes());
-        let plan = faults.as_deref_mut().expect("plan present");
-        plan.stats.duplicates += 1;
-        if !current {
-            plan.stats.duplicates_stale += 1;
-        }
-        plan.stats.phantom_noc_cycles += phantom;
-    }
-    if let Some(kind) = d.corrupt {
-        if let Some(plan) = faults.as_deref_mut() {
-            if let Some((victim, desc)) = sys.inject_state_fault(kind, plan.rng_mut()) {
-                plan.corruption_injected(format!("at cycle {done}: {kind:?}: {desc}"));
-                sys.audit_check_block(victim);
-            }
-        }
-    }
 }
 
 /// The serial sink: effects land directly on the committed core models.
@@ -595,7 +508,7 @@ impl Simulation {
     }
 
     /// Applies invalidations/downgrades to the victim cores via
-    /// [`apply_effects_via`] (the logic shared with the sharded walker).
+    /// [`apply_effects_via`].
     fn apply_effects(&mut self, now: Cycle, fx: &mut AccessEffects, mlp: f64) -> u64 {
         let cores_per_socket = self.sys.config().cores;
         let mut sink = CoreSink {
@@ -609,6 +522,7 @@ impl Simulation {
     /// uncore: a forced `DENF_NACK` storm either exhausts the retry budget
     /// (a structured stall) or is absorbed with bounded exponential
     /// backoff, accounted virtually and as phantom NoC traffic.
+    // lint:consumes(DenfNack)
     fn fault_pre(
         &mut self,
         t: usize,
@@ -616,17 +530,40 @@ impl Simulation {
         block: zerodev_common::BlockAddr,
         d: crate::faults::FaultDraw,
     ) -> Result<(), SimError> {
+        let Some(len) = d.nack_storm else {
+            return Ok(());
+        };
         let (socket, core) = (self.cores[t].socket(), self.cores[t].core());
-        fault_pre_at(
-            &mut self.sys,
-            &mut self.faults,
-            t,
-            socket,
-            core,
-            issue,
-            block,
-            d,
-        )
+        let plan = self
+            .faults
+            .as_deref_mut()
+            .expect("fault draw without a plan");
+        let budget = plan.config().retry_budget;
+        if len > budget {
+            return Err(SimError::Stalled {
+                core: t,
+                cycle: issue,
+                last_event: format!(
+                    "DENF_NACK storm of {len} on {block:?} exceeded the retry budget of {budget}"
+                ),
+            });
+        }
+        // The nacked request is re-issued after backoff: the one audited
+        // descent in the MsgClass order (DESIGN.md §12). The cycle cannot
+        // sustain itself — backoff grows with the storm length and the retry
+        // budget turns an unbounded storm into SimError::Stalled.
+        // lint:allow(msg_class_cycle, bounded DENF_NACK retry: backoff + hard retry budget guarantee drain)
+        plan.stats.nack_storms += 1; // lint:emits(Request)
+        plan.stats.nacks += u64::from(len);
+        plan.stats.backoff_cycles += plan.config().backoff_cycles(len);
+        let mut phantom = 0u64;
+        for _ in 0..len {
+            phantom += self
+                .sys
+                .fault_route(socket, core, block, MsgClass::DenfNack.bytes());
+        }
+        plan.stats.phantom_noc_cycles += phantom;
+        Ok(())
     }
 
     /// Completion-side fault handling *after* the access resolved: delayed
@@ -642,15 +579,33 @@ impl Simulation {
         d: crate::faults::FaultDraw,
     ) {
         let (socket, core) = (self.cores[t].socket(), self.cores[t].core());
-        fault_post_at(
-            &mut self.sys,
-            &mut self.faults,
-            socket,
-            core,
-            done,
-            block,
-            d,
-        );
+        if let Some(extra) = d.delay {
+            let plan = self.faults.as_deref_mut().expect("plan present");
+            plan.stats.delayed += 1;
+            plan.stats.delay_cycles += extra;
+        }
+        if d.duplicate {
+            let current = self
+                .sys
+                .duplicate_completion_is_current(socket, core, block);
+            let phantom = self
+                .sys
+                .fault_route(socket, core, block, MsgClass::Data.bytes());
+            let plan = self.faults.as_deref_mut().expect("plan present");
+            plan.stats.duplicates += 1;
+            if !current {
+                plan.stats.duplicates_stale += 1;
+            }
+            plan.stats.phantom_noc_cycles += phantom;
+        }
+        if let Some(kind) = d.corrupt {
+            if let Some(plan) = self.faults.as_deref_mut() {
+                if let Some((victim, desc)) = self.sys.inject_state_fault(kind, plan.rng_mut()) {
+                    plan.corruption_injected(format!("at cycle {done}: {kind:?}: {desc}"));
+                    self.sys.audit_check_block(victim);
+                }
+            }
+        }
     }
 
     /// Runs until every core has retired `refs_per_core` references after a
@@ -695,8 +650,6 @@ impl Simulation {
         for _ in 0..warmup_refs {
             for t in 0..n {
                 let r = self.workload.threads[t].next_ref();
-                let (socket, core) = (self.cores[t].socket(), self.cores[t].core());
-                let _ = (socket, core);
                 let mlp = self.workload.threads[t].spec().mlp;
                 self.cores[t].access_into(&mut self.sys, Cycle(0), r, &mut fx);
                 let _ = self.apply_effects(Cycle(0), &mut fx, mlp);
@@ -717,55 +670,6 @@ impl Simulation {
             refs_per_core,
             fx,
         }
-    }
-
-    /// [`Self::run`] with the deterministic sharded driver
-    /// (`crate::shard`): cores are partitioned into `shards` shards that
-    /// speculate private-hierarchy work on worker threads, while the global
-    /// `(time, core)` event order is committed serially — results are
-    /// byte-identical to [`Self::run`] at any shard count. `shards <= 1`
-    /// (or a single core) falls back to the serial loop.
-    ///
-    /// # Panics
-    /// Panics (via [`SimError`]'s message) when the forward-progress
-    /// watchdog fires; use [`Self::try_run_sharded`] for structured stalls.
-    pub fn run_sharded(self, refs_per_core: u64, warmup_refs: u64, shards: usize) -> SimResult {
-        self.try_run_sharded(refs_per_core, warmup_refs, shards)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Self::run_sharded`], surfacing stalls as [`SimError::Stalled`].
-    pub fn try_run_sharded(
-        self,
-        refs_per_core: u64,
-        warmup_refs: u64,
-        shards: usize,
-    ) -> Result<SimResult, SimError> {
-        let shards = shards.clamp(1, self.cores.len().max(1));
-        if shards <= 1 {
-            return self.try_run(refs_per_core, warmup_refs);
-        }
-        crate::shard::run(self, refs_per_core, warmup_refs, shards)
-    }
-
-    /// Decomposes the simulation into the parts the sharded driver owns.
-    #[allow(clippy::type_complexity)] // one caller; naming the tuple would only add indirection
-    pub(crate) fn into_parts(
-        self,
-    ) -> (
-        System,
-        Vec<CoreModel>,
-        Workload,
-        Option<Box<FaultPlan>>,
-        Watchdog,
-    ) {
-        (
-            self.sys,
-            self.cores,
-            self.workload,
-            self.faults,
-            self.watchdog,
-        )
     }
 }
 

@@ -154,8 +154,7 @@ pub struct JobOutcome {
 }
 
 /// The memoization key: everything that determines a run's result.
-/// `RunParams::threads` and `RunParams::shards` are deliberately excluded —
-/// neither can affect results (sharded runs are byte-identical to serial).
+/// `RunParams::threads` is deliberately excluded — it cannot affect results.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 struct MemoKey {
     fingerprint: u64,

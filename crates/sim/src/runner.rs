@@ -18,13 +18,6 @@ pub struct RunParams {
     /// `1` selects the exact serial path (no threads are spawned).
     /// Has no effect on simulation results — every run is deterministic.
     pub threads: usize,
-    /// Speculation shards for intra-run parallelism (`crate::shard`):
-    /// cores are partitioned into this many shards that run ahead on
-    /// worker threads between epoch barriers, while the global event
-    /// order is committed serially. `1` (the default, `ZERODEV_SHARDS`
-    /// unset) selects the exact serial event loop. Has no effect on
-    /// simulation results — sharded runs are byte-identical to serial.
-    pub shards: usize,
     /// Runs the coherence-invariant oracle (`zerodev_core::oracle`)
     /// alongside the protocol engine: a shadow MESI model checked after
     /// every uncore transaction, panicking with an event-log dump on the
@@ -59,7 +52,6 @@ impl Default for RunParams {
             refs_per_core: 100_000,
             warmup_refs: 25_000,
             threads: default_threads(),
-            shards: 1,
             audit: false,
             faults: None,
             watchdog_horizon: DEFAULT_WATCHDOG_HORIZON,
@@ -80,8 +72,6 @@ impl RunParams {
 
     /// Reads `ZERODEV_QUICK=1` to switch every harness to the quick profile,
     /// `ZERODEV_THREADS=N` to set the sweep worker count (`1` = serial),
-    /// `ZERODEV_SHARDS=N` to shard each run's simulation internally
-    /// (`1` = the exact serial event loop; results are identical either way),
     /// `ZERODEV_AUDIT=1` to run every simulation under the coherence oracle,
     /// `ZERODEV_FAULTS=<spec>` to arm deterministic fault injection, and
     /// `ZERODEV_WATCHDOG_HORIZON=N` / `ZERODEV_WATCHDOG_PERIOD=N` to tune
@@ -97,7 +87,6 @@ impl RunParams {
             Self::default()
         };
         p.threads = env::var_or("ZERODEV_THREADS", default_threads()).max(1);
-        p.shards = env::var_or("ZERODEV_SHARDS", 1).max(1);
         p.audit = env::var_flag("ZERODEV_AUDIT");
         p.faults = FaultConfig::from_env();
         p.watchdog_horizon = env::var_or("ZERODEV_WATCHDOG_HORIZON", p.watchdog_horizon);
@@ -121,7 +110,7 @@ impl RunParams {
 pub fn run(cfg: &SystemConfig, workload: Workload, params: &RunParams) -> RunWithEnergy {
     let mut sim = Simulation::new(cfg, workload);
     params.arm(&mut sim);
-    let result = sim.run_sharded(params.refs_per_core, params.warmup_refs, params.shards);
+    let result = sim.run(params.refs_per_core, params.warmup_refs);
     let e = energy(cfg, &result.stats, result.completion_cycles);
     RunWithEnergy { result, energy: e }
 }

@@ -90,45 +90,6 @@ fn nack_storm_past_retry_budget_is_a_structured_stall() {
     );
 }
 
-/// A stall verdict is part of the simulator's deterministic behaviour, so
-/// it must be *shard-invariant*: the same injected livelock surfaces as
-/// the same structured `SimError::Stalled` — same core, same cycle, same
-/// last-event text — whether the run is serial or sharded (the
-/// `ZERODEV_SHARDS=1,2,4` grid). The soak driver's quarantine reports and
-/// their repro commands rely on this.
-#[test]
-fn stall_verdict_is_identical_across_shard_counts() {
-    let cfg = zerodev_cfg(SpillPolicy::SpillAll, LlcDesign::NonInclusive, 1);
-    let faults = FaultConfig {
-        nack_ppm: 1_000_000,
-        nack_len: 10,
-        retry_budget: 4,
-        ..Default::default()
-    };
-    let p = quick();
-    let stall = |shards: usize| {
-        let mut sim = Simulation::new(&cfg, multithreaded("torture.ping_pong", 8, 5).unwrap());
-        sim.set_faults(faults);
-        sim.try_run_sharded(p.refs_per_core, p.warmup_refs, shards)
-            .expect_err("a storm past the budget must stall at any shard count")
-    };
-    let SimError::Stalled {
-        core,
-        cycle,
-        last_event,
-    } = stall(1);
-    for shards in [2usize, 4] {
-        let SimError::Stalled {
-            core: c,
-            cycle: cy,
-            last_event: ev,
-        } = stall(shards);
-        assert_eq!(c, core, "stalled core diverged at {shards} shards");
-        assert_eq!(cy, cycle, "stall cycle diverged at {shards} shards");
-        assert_eq!(ev, last_event, "stall verdict diverged at {shards} shards");
-    }
-}
-
 /// The fault plan is seeded: two runs with the same `FaultConfig` inject
 /// the identical event sequence and finish with identical results.
 #[test]
