@@ -6,8 +6,34 @@
 
 use zerodev_bench::microbench::{bench_function, black_box, group};
 use zerodev_common::config::{DirectoryKind, LlcReplacement, SpillPolicy, ZeroDevConfig};
-use zerodev_common::{BlockAddr, CoreId, Cycle, Prng, SocketId, SystemConfig};
-use zerodev_core::{EvictKind, Op, System};
+use zerodev_common::{BlockAddr, CoreId, Cycle, MesiState, Prng, SocketId, SystemConfig};
+use zerodev_core::{EvictKind, Op, PrivateCaches, System};
+
+/// Single-socket private copies: `present[block * 8 + core]` is
+/// `Some(dirty)` while the core holds the block.
+struct Present<'a>(&'a mut [Option<bool>]);
+
+impl Present<'_> {
+    fn slot(&mut self, core: CoreId, block: BlockAddr) -> Option<&mut Option<bool>> {
+        let i = (block.0 - 0x10_000) * 8 + u64::from(core.0);
+        self.0.get_mut(i as usize)
+    }
+}
+
+impl PrivateCaches for Present<'_> {
+    fn downgrade(&mut self, _: SocketId, core: CoreId, block: BlockAddr) -> bool {
+        self.slot(core, block)
+            .is_some_and(|slot| slot.replace(false) == Some(true))
+    }
+
+    fn invalidate(&mut self, _: SocketId, core: CoreId, block: BlockAddr) -> MesiState {
+        match self.slot(core, block).and_then(Option::take) {
+            Some(true) => MesiState::Modified,
+            Some(false) => MesiState::Shared,
+            None => MesiState::Invalid,
+        }
+    }
+}
 
 /// Drives a random-but-legal single-socket request/evict mix.
 fn drive(sys: &mut System, rng: &mut Prng, present: &mut [Option<bool>], blocks: u64) {
@@ -19,20 +45,9 @@ fn drive(sys: &mut System, rng: &mut Prng, present: &mut [Option<bool>], blocks:
         None => {
             let write = rng.chance(0.3);
             let op = if write { Op::ReadExclusive } else { Op::Read };
-            let r = sys.access(Cycle(0), SocketId(0), c, block, op);
-            // Apply invalidations to the tracking array.
-            for inv in &r.invalidations {
-                let i = (inv.block.0 - 0x10_000) * 8 + u64::from(inv.core.0);
-                if let Some(slot) = present.get_mut(i as usize) {
-                    *slot = None;
-                }
-            }
-            for d in &r.downgrades {
-                let i = (d.block.0 - 0x10_000) * 8 + u64::from(d.core.0);
-                if let Some(slot) = present.get_mut(i as usize) {
-                    *slot = Some(false);
-                }
-            }
+            let mut r = sys.access(Cycle(0), SocketId(0), c, block, op);
+            let (invals, downs) = (&mut r.invalidations, &mut r.downgrades);
+            sys.apply_effects(Cycle(0), invals, downs, &mut Present(present));
             present[idx] = Some(write);
             black_box(r.latency);
         }
@@ -42,14 +57,14 @@ fn drive(sys: &mut System, rng: &mut Prng, present: &mut [Option<bool>], blocks:
             } else {
                 EvictKind::CleanShared
             };
-            let invals = sys.evict(Cycle(0), SocketId(0), c, block, kind);
-            for inv in invals {
-                let i = (inv.block.0 - 0x10_000) * 8 + u64::from(inv.core.0);
-                if let Some(slot) = present.get_mut(i as usize) {
-                    *slot = None;
-                }
-            }
+            let mut invals = sys.evict(Cycle(0), SocketId(0), c, block, kind);
             present[idx] = None;
+            sys.apply_effects(
+                Cycle(0),
+                &mut invals,
+                &mut Vec::new(),
+                &mut Present(present),
+            );
         }
     }
 }

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 pub use std::hint::black_box;
 
 /// Measures one benchmark body; filled in by [`Bencher::iter`].
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct Bencher {
     ns_per_iter: f64,
     iters: u64,

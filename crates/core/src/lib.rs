@@ -22,8 +22,10 @@
 //!   DENF_NACK flows, EPD and inclusive LLC designs, multi-socket
 //!   coherence).
 //!
-//! The engine is driven through [`System::access`] and [`System::evict`];
-//! the trace-driven cores live in the `zerodev-sim` crate.
+//! The engine is driven through [`System::access`] and [`System::evict`],
+//! whose invalidations and downgrades go back through
+//! [`System::apply_effects`] against the caller's [`PrivateCaches`]; the
+//! trace-driven cores live in the `zerodev-sim` crate.
 //!
 //! # Example
 //!
@@ -52,4 +54,6 @@ pub use directory::{DirEntry, DirStore};
 pub use llc::{LlcBank, LlcLine};
 pub use oracle::{AuditEvent, EventLog, Oracle};
 pub use step::{ProtocolEvent, ProtocolHarness, StepViolation};
-pub use system::{AccessResult, EvictKind, InvalReason, Invalidation, Op, StateFault, System};
+pub use system::{
+    AccessResult, EvictKind, InvalReason, Invalidation, Op, PrivateCaches, StateFault, System,
+};

@@ -519,7 +519,8 @@ impl Oracle {
         }
     }
 
-    /// Called after `System::dev_dirty_recall` (baseline configurations).
+    /// Called after `System::dev_dirty_recall_into` (baseline
+    /// configurations).
     pub(crate) fn after_dev_recall(
         &mut self,
         sys: &System,

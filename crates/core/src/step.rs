@@ -3,11 +3,10 @@
 //! The exhaustive checker (`zerodev_model`) and the cycle-accurate simulator
 //! (`zerodev-sim`) must exercise *one* set of protocol rules. The pure rules
 //! live in [`zerodev_common::protocol`]; this module packages the concrete
-//! [`System`] plus the engine's effect-application contract (downgrades
-//! first, then the invalidation stack with dirty-data reporting — the exact
-//! loop in `zerodev-sim`'s `apply_effects`) behind a deterministic
-//! `(state, event) -> state'` interface with no timing, no workloads and no
-//! private-cache geometry.
+//! [`System`] plus its caller contract ([`System::apply_effects`], the same
+//! call the simulator makes, here against shadow caches) behind a
+//! deterministic `(state, event) -> state'` interface with no timing, no
+//! workloads and no private-cache geometry.
 //!
 //! Cores are abstracted to unbounded shadow caches: a core holds each block
 //! in a MESI state and never self-evicts — evictions are explicit
@@ -25,10 +24,10 @@
 #![deny(clippy::unwrap_used, clippy::indexing_slicing)]
 
 use crate::llc::LlcLine;
-use crate::system::System;
+use crate::system::{PrivateCaches, System};
 use std::fmt;
 use zerodev_common::config::{ConfigError, SpillPolicy, SystemConfig};
-use zerodev_common::protocol::{EvictKind, InvalReason, Op};
+use zerodev_common::protocol::{Downgrade, EvictKind, InvalReason, Invalidation, Op};
 use zerodev_common::{BlockAddr, CoreId, Cycle, DirState, MesiState, SocketId};
 
 /// One atomic transition of the abstracted system.
@@ -378,78 +377,18 @@ impl ProtocolHarness {
         }
     }
 
-    /// Applies the engine's effect contract: downgrades first (M owners
-    /// report a sharing writeback), then the invalidation stack, where a
-    /// Modified victim reports its dirty data per the invalidation reason
-    /// and DEV recalls may push further invalidations. Mirrors
-    /// `Simulation::apply_effects` exactly.
-    fn apply_effects(
-        &mut self,
-        downgrades: Vec<zerodev_common::protocol::Downgrade>,
-        invalidations: Vec<zerodev_common::protocol::Invalidation>,
-    ) {
-        for d in downgrades {
-            let g = self.gidx(d.socket, d.core);
-            let was_m = self.shadow_state(d.socket, d.core, d.block) == MesiState::Modified;
-            self.set_shadow(d.socket, d.core, d.block, MesiState::Shared);
-            if was_m {
-                self.sys.sharing_writeback(Cycle::ZERO, d.socket, d.block);
-                // Mirror where the writeback landed: the LLC line when one
-                // survives the transaction's set churn, home memory when
-                // none does (and always on multi-socket machines).
-                let has_line = self
-                    .sys
-                    .llc_line_of(d.socket, d.block)
-                    .is_some_and(|l| l.holds_block());
-                let multisocket = self.sockets > 1;
-                let tok = self.token_mut(d.block);
-                if tok.cores & (1 << g) != 0 {
-                    if has_line {
-                        tok.llc |= 1 << d.socket.0;
-                    }
-                    if multisocket || !has_line {
-                        tok.mem = true;
-                    }
-                }
-            }
-        }
-        let mut stack = invalidations;
-        while let Some(inv) = stack.pop() {
-            let g = self.gidx(inv.socket, inv.core);
-            let prior = self.shadow_state(inv.socket, inv.core, inv.block);
-            self.set_shadow(inv.socket, inv.core, inv.block, MesiState::Invalid);
-            let was_latest = {
-                let tok = self.token_mut(inv.block);
-                let was = tok.cores & (1 << g) != 0;
-                tok.cores &= !(1 << g);
-                was
-            };
-            if prior == MesiState::Modified {
-                match inv.reason {
-                    InvalReason::Dev => {
-                        let more = self
-                            .sys
-                            .dev_dirty_recall(Cycle::ZERO, inv.socket, inv.block);
-                        if was_latest {
-                            self.token_mut(inv.block).llc |= 1 << inv.socket.0;
-                        }
-                        stack.extend(more);
-                    }
-                    InvalReason::Inclusion => {
-                        self.sys
-                            .inclusion_dirty_writeback(Cycle::ZERO, inv.socket, inv.block);
-                        if was_latest {
-                            self.token_mut(inv.block).mem = true;
-                        }
-                    }
-                    InvalReason::Coherence => {
-                        // Dirty data travelled with the ownership transfer;
-                        // the requester's token was already set by the
-                        // access rule.
-                    }
-                }
-            }
-        }
+    /// Applies one transaction's effects to the shadow caches through
+    /// [`System::apply_effects`], the code the simulator runs.
+    fn apply_effects(&mut self, invals: &mut Vec<Invalidation>, downgrades: &mut Vec<Downgrade>) {
+        let mut caches = ShadowCaches {
+            blocks: &self.blocks,
+            cores: self.cores,
+            shadow: &mut self.shadow,
+            tokens: &mut self.tokens,
+            was_latest: false,
+        };
+        self.sys
+            .apply_effects(Cycle::ZERO, invals, downgrades, &mut caches);
     }
 
     /// The symbolic source the protocol is expected to serve a read from,
@@ -566,8 +505,8 @@ impl ProtocolHarness {
         (tok.mem, "home memory")
     }
 
-    /// Applies one transition: drives the concrete [`System`], replicates
-    /// the engine's effect-application contract, updates the shadow states
+    /// Applies one transition: drives the concrete [`System`], applies its
+    /// effects through [`System::apply_effects`], updates the shadow states
     /// and write tokens, and checks every per-state invariant.
     ///
     /// # Errors
@@ -602,7 +541,7 @@ impl ProtocolHarness {
                 } else {
                     Some(self.read_source_latest(g, block, &before))
                 };
-                let res = self.sys.access(Cycle::ZERO, socket, core, block, op);
+                let mut res = self.sys.access(Cycle::ZERO, socket, core, block, op);
                 self.set_shadow(socket, core, block, res.grant);
                 if is_write {
                     // A store mints a fresh token: the writer's copy is the
@@ -645,7 +584,7 @@ impl ProtocolHarness {
                     tok.cores |= 1 << g;
                     tok.llc |= appeared;
                 }
-                self.apply_effects(res.downgrades, res.invalidations);
+                self.apply_effects(&mut res.invalidations, &mut res.downgrades);
             }
             ProtocolEvent::SilentWrite {
                 socket,
@@ -688,7 +627,7 @@ impl ProtocolHarness {
                     was
                 };
                 let dw_data_before = self.sys.stats.dram_writes - self.sys.stats.dram_writes_dir;
-                let invals = self.sys.evict(Cycle::ZERO, socket, core, block, kind);
+                let mut invals = self.sys.evict(Cycle::ZERO, socket, core, block, kind);
                 if was_latest {
                     // Attribute where the departing copy's data landed.
                     let bi = self.bidx(block);
@@ -723,7 +662,7 @@ impl ProtocolHarness {
                         self.token_mut(block).mem = true;
                     }
                 }
-                self.apply_effects(Vec::new(), invals);
+                self.apply_effects(&mut invals, &mut Vec::new());
             }
         }
         self.reconcile(&before);
@@ -852,5 +791,90 @@ impl ProtocolHarness {
             }
         }
         Ok(())
+    }
+}
+
+/// The harness's shadow caches as [`System::apply_effects`] sees them. It
+/// borrows the shadow states and write tokens for one transaction and moves
+/// the latest-value bookkeeping along with each dirty report.
+struct ShadowCaches<'a> {
+    blocks: &'a [BlockAddr],
+    cores: usize,
+    shadow: &'a mut [MesiState],
+    tokens: &'a mut [WriteToken],
+    /// Whether the copy the last `invalidate` removed held the latest value.
+    was_latest: bool,
+}
+
+impl ShadowCaches<'_> {
+    /// One copy's shadow state, its block's write token, and the copy's bit
+    /// in [`WriteToken::cores`].
+    fn copy(
+        &mut self,
+        socket: SocketId,
+        core: CoreId,
+        block: BlockAddr,
+    ) -> (&mut MesiState, &mut WriteToken, u128) {
+        let g = socket.0 as usize * self.cores + core.0 as usize;
+        let bi = self
+            .blocks
+            .iter()
+            .position(|b| *b == block)
+            .expect("effect references a tracked block");
+        let st = self
+            .shadow
+            .get_mut(g * self.blocks.len() + bi)
+            .expect("shadow index in range");
+        let tok = self.tokens.get_mut(bi).expect("token in range");
+        (st, tok, 1 << g)
+    }
+}
+
+impl PrivateCaches for ShadowCaches<'_> {
+    fn downgrade(&mut self, socket: SocketId, core: CoreId, block: BlockAddr) -> bool {
+        let (st, _, _) = self.copy(socket, core, block);
+        std::mem::replace(st, MesiState::Shared) == MesiState::Modified
+    }
+
+    fn invalidate(&mut self, socket: SocketId, core: CoreId, block: BlockAddr) -> MesiState {
+        let (st, tok, bit) = self.copy(socket, core, block);
+        let was_latest = tok.cores & bit != 0;
+        tok.cores &= !bit;
+        let prior = std::mem::replace(st, MesiState::Invalid);
+        self.was_latest = was_latest;
+        prior
+    }
+
+    fn dirty_absorbed(
+        &mut self,
+        sys: &System,
+        socket: SocketId,
+        core: CoreId,
+        block: BlockAddr,
+        reason: Option<InvalReason>,
+    ) {
+        let was_latest = self.was_latest;
+        let (_, tok, bit) = self.copy(socket, core, block);
+        match reason {
+            None if tok.cores & bit != 0 => {
+                // Mirror where the sharing writeback landed: the LLC line
+                // when one survives the transaction's set churn, home memory
+                // when none does (and always on multi-socket machines).
+                let has_line = sys
+                    .llc_line_of(socket, block)
+                    .is_some_and(|l| l.holds_block());
+                if has_line {
+                    tok.llc |= 1 << socket.0;
+                }
+                if sys.config().sockets > 1 || !has_line {
+                    tok.mem = true;
+                }
+            }
+            Some(InvalReason::Dev) if was_latest => tok.llc |= 1 << socket.0,
+            Some(InvalReason::Inclusion) if was_latest => tok.mem = true,
+            // Coherence: dirty data travelled with the ownership transfer;
+            // the requester's token was already set by the access rule.
+            _ => {}
+        }
     }
 }

@@ -21,11 +21,11 @@
 //! every L2 victim (the paper's protocol notifies the directory of all
 //! evictions, with clean notices carrying no data). Invalidations and
 //! downgrades that the transaction produced are returned to the caller,
-//! which applies them to the private arrays and reports back dirty data
-//! through [`System::dev_dirty_recall`], [`System::sharing_writeback`] and
-//! [`System::inclusion_dirty_writeback`] (the directory cannot distinguish
-//! M from E, so only the core knows whether an invalidated or downgraded
-//! line carried dirty data).
+//! which hands them to [`System::apply_effects`] together with its private
+//! arrays as a [`PrivateCaches`]. That one loop applies them in protocol
+//! order and reports dirty data back (the directory cannot distinguish M
+//! from E, so only the core knows whether an invalidated or downgraded line
+//! carried dirty data).
 
 use crate::directory::{AllocOutcome, DirEntry, DirStore, EvictedEntry};
 use crate::llc::{LlcBank, LlcLine, SpillOutcome};
@@ -56,6 +56,33 @@ pub struct AccessResult {
     pub invalidations: Vec<Invalidation>,
     /// Private copies to downgrade to S.
     pub downgrades: Vec<Downgrade>,
+}
+
+/// The caller's private caches as [`System::apply_effects`] sees them: the
+/// protocol only needs to downgrade and invalidate copies and to learn
+/// which ones were dirty (the directory cannot tell M from E).
+pub trait PrivateCaches {
+    /// Downgrades `block` at `(socket, core)` to S; returns true when the
+    /// copy was Modified.
+    fn downgrade(&mut self, socket: SocketId, core: CoreId, block: BlockAddr) -> bool;
+
+    /// Invalidates `block` at `(socket, core)`; returns the copy's prior
+    /// state.
+    fn invalidate(&mut self, socket: SocketId, core: CoreId, block: BlockAddr) -> MesiState;
+
+    /// Called once the protocol has taken a Modified victim's data: `None`
+    /// after a downgrade's sharing writeback, otherwise the invalidation's
+    /// reason. Lets a caller that tracks data values follow where the dirty
+    /// copy landed.
+    fn dirty_absorbed(
+        &mut self,
+        _sys: &System,
+        _socket: SocketId,
+        _core: CoreId,
+        _block: BlockAddr,
+        _reason: Option<InvalReason>,
+    ) {
+    }
 }
 
 /// A state-corruption fault class injectable via
@@ -564,7 +591,7 @@ impl System {
 
     /// Baseline directory eviction: every tracked private copy becomes a
     /// DEV. Dirty owners are detected by the caller (only the core knows)
-    /// and reported through [`System::dev_dirty_recall`].
+    /// and recalled by [`System::apply_effects`].
     // lint:consumes(Request)
     fn apply_dev_victims(
         &mut self,

@@ -1,6 +1,6 @@
 // Continuation of the System protocol engine (included from system.rs):
 // untracked reads/RFOs, the memory and multi-socket paths, evictions, and
-// the caller-reported dirty-data hooks.
+// the caller contract (`apply_effects`) with its dirty-data hooks.
 
 impl System {
     /// Read (or code read) of a block with no directory entry in the socket.
@@ -1016,6 +1016,50 @@ impl System {
     // Caller-reported dirty data
     // ---------------------------------------------------------------------
 
+    /// Applies one transaction's effects to the caller's private caches in
+    /// protocol order and routes dirty data back into the protocol. This is
+    /// the whole caller contract: the simulator, the model checker and every
+    /// test driver go through it.
+    ///
+    /// Downgrades go first; a Modified owner reports a sharing writeback.
+    /// Then the invalidation stack is drained LIFO off the tail of `invals`.
+    /// A Modified victim reports its dirty data by the invalidation's
+    /// reason: a DEV recall (whose LLC fill may push further invalidations
+    /// onto the same stack) or an inclusion writeback; a coherence victim's
+    /// data travelled with the ownership transfer. After each report the
+    /// caches hear [`PrivateCaches::dirty_absorbed`]. Both buffers are
+    /// left empty, so callers can reuse one allocation across transactions.
+    // Responses terminate at the requesting core: delivering them generates
+    // no further traffic, which is what makes vnet 3 the drain of the order.
+    // lint:consumes(Data, Ack, MemReadData, SocketData)
+    pub fn apply_effects(
+        &mut self,
+        now: Cycle,
+        invals: &mut Vec<Invalidation>,
+        downgrades: &mut Vec<Downgrade>,
+        caches: &mut impl PrivateCaches,
+    ) {
+        for d in downgrades.drain(..) {
+            if caches.downgrade(d.socket, d.core, d.block) {
+                self.sharing_writeback(now, d.socket, d.block);
+                caches.dirty_absorbed(self, d.socket, d.core, d.block, None);
+            }
+        }
+        while let Some(inv) = invals.pop() {
+            if caches.invalidate(inv.socket, inv.core, inv.block) != MesiState::Modified {
+                continue;
+            }
+            match inv.reason {
+                InvalReason::Dev => self.dev_dirty_recall_into(now, inv.socket, inv.block, invals),
+                InvalReason::Inclusion => {
+                    self.inclusion_dirty_writeback(now, inv.socket, inv.block);
+                }
+                InvalReason::Coherence => {}
+            }
+            caches.dirty_absorbed(self, inv.socket, inv.core, inv.block, Some(inv.reason));
+        }
+    }
+
     /// The owner downgraded by a read held the block in M: its sharing
     /// writeback carries the dirty data to the home LLC (and, on
     /// multi-socket machines, home memory).
@@ -1057,16 +1101,8 @@ impl System {
 
     /// A DEV-invalidated owner held the block in M: the dirty block is
     /// retrieved into the LLC (the paper's observation explaining
-    /// freqmine's behaviour, §I-A1). Returns back-invalidations caused by
-    /// the fill.
-    pub fn dev_dirty_recall(&mut self, now: Cycle, socket: SocketId, block: BlockAddr) -> Vec<Invalidation> {
-        let mut invals = Vec::new();
-        self.dev_dirty_recall_into(now, socket, block, &mut invals);
-        invals
-    }
-
-    /// Allocation-free form of [`Self::dev_dirty_recall`]: back-invalidations
-    /// caused by the fill are appended to the caller-owned buffer.
+    /// freqmine's behaviour, §I-A1). Back-invalidations caused by the fill
+    /// are appended to the caller-owned buffer.
     // The recall is triggered by a DEV while the directory allocates on
     // behalf of a request; the synchronous model folds it into that
     // transaction, so the dirty writeback is request-caused (rank 0 -> 0).

@@ -1,13 +1,15 @@
-//! End-to-end protocol tests driving [`zerodev_core::System`] through a
-//! miniature private-cache model that honours the caller contract
-//! (invalidations/downgrades applied, dirty data reported back).
+//! End-to-end protocol tests driving [`zerodev_core::System`] through the
+//! shared private-cache model (`common`), whose invalidations, downgrades
+//! and dirty-data reports go through `System::apply_effects`.
 
-use std::collections::HashMap;
+mod common;
+
+use common::Model as Harness;
 use zerodev_common::config::{
     CacheGeometry, DirectoryKind, LlcReplacement, Ratio, SpillPolicy, SystemConfig, ZeroDevConfig,
 };
 use zerodev_common::{BlockAddr, CoreId, Cycle, MesiState, SocketId};
-use zerodev_core::{EvictKind, InvalReason, LlcLine, Op, System};
+use zerodev_core::{EvictKind, LlcLine, Op};
 
 /// A small machine so set conflicts are easy to provoke.
 fn tiny_cfg() -> SystemConfig {
@@ -41,81 +43,15 @@ fn same_set_blocks(cfg: &SystemConfig, set: u64, n: usize) -> Vec<BlockAddr> {
         .collect()
 }
 
-/// Minimal legal driver: tracks every core's private copies, applies
-/// invalidations and downgrades, reports dirty data, and checks invariants
-/// after every operation.
-struct Harness {
-    sys: System,
-    /// (socket, core) → block → state
-    priv_lines: HashMap<(u8, u16), HashMap<BlockAddr, MesiState>>,
-}
-
+/// Minimal legal driver on the shared model: every operation goes through
+/// the caller contract, then invariants are checked.
 impl Harness {
-    fn new(cfg: SystemConfig) -> Self {
-        Harness {
-            sys: System::new(cfg).expect("valid config"),
-            priv_lines: HashMap::new(),
-        }
-    }
-
-    fn state(&self, s: u8, c: u16, b: BlockAddr) -> MesiState {
-        self.priv_lines
-            .get(&(s, c))
-            .and_then(|m| m.get(&b))
-            .copied()
-            .unwrap_or(MesiState::Invalid)
-    }
-
-    fn set_state(&mut self, s: u8, c: u16, b: BlockAddr, st: MesiState) {
-        let m = self.priv_lines.entry((s, c)).or_default();
-        if st == MesiState::Invalid {
-            m.remove(&b);
-        } else {
-            m.insert(b, st);
-        }
-    }
-
-    fn apply(
-        &mut self,
-        invals: &[zerodev_core::Invalidation],
-        downgrades: &[zerodev_core::system::Downgrade],
-    ) {
-        for inv in invals {
-            let st = self.state(inv.socket.0, inv.core.0, inv.block);
-            if st == MesiState::Modified {
-                match inv.reason {
-                    InvalReason::Dev => {
-                        let extra = self.sys.dev_dirty_recall(Cycle(0), inv.socket, inv.block);
-                        // Recursive victims are rare in these tests; apply.
-                        self.apply(&extra, &[]);
-                    }
-                    InvalReason::Inclusion => {
-                        self.sys
-                            .inclusion_dirty_writeback(Cycle(0), inv.socket, inv.block);
-                    }
-                    InvalReason::Coherence => {}
-                }
-            }
-            self.set_state(inv.socket.0, inv.core.0, inv.block, MesiState::Invalid);
-        }
-        for d in downgrades {
-            let st = self.state(d.socket.0, d.core.0, d.block);
-            assert!(st.is_owned(), "downgrade of non-owned line {st}");
-            if st == MesiState::Modified {
-                self.sys.sharing_writeback(Cycle(0), d.socket, d.block);
-            }
-            self.set_state(d.socket.0, d.core.0, d.block, MesiState::Shared);
-        }
-    }
-
     fn op(&mut self, s: u8, c: u16, b: BlockAddr, op: Op) -> u64 {
         let r = self.sys.access(Cycle(0), SocketId(s), CoreId(c), b, op);
-        let invals = r.invalidations.clone();
-        let downs = r.downgrades.clone();
-        self.apply(&invals, &downs);
-        self.set_state(s, c, b, r.grant);
+        self.apply(r.invalidations, r.downgrades);
+        self.set(s, c, b, r.grant);
         self.sys.check_invariants();
-        self.check_swmr(b);
+        self.check_block(b);
         r.latency
     }
 
@@ -130,7 +66,7 @@ impl Harness {
             MesiState::Shared => self.op(s, c, b, Op::Upgrade),
             MesiState::Exclusive | MesiState::Modified => {
                 // Silent E→M upgrade.
-                self.set_state(s, c, b, MesiState::Modified);
+                self.set(s, c, b, MesiState::Modified);
                 0
             }
         }
@@ -145,45 +81,9 @@ impl Harness {
             MesiState::Invalid => panic!("evicting an absent line"),
         };
         let invals = self.sys.evict(Cycle(0), SocketId(s), CoreId(c), b, kind);
-        self.set_state(s, c, b, MesiState::Invalid);
-        self.apply(&invals, &[]);
+        self.set(s, c, b, MesiState::Invalid);
+        self.apply(invals, Vec::new());
         self.sys.check_invariants();
-    }
-
-    /// Single-writer / multiple-reader: cross-checks private states against
-    /// the directory's view of `b`.
-    fn check_swmr(&self, b: BlockAddr) {
-        for s in 0..self.sys.config().sockets as u8 {
-            let entry = self.sys.entry_of(SocketId(s), b);
-            let mut holders = Vec::new();
-            for c in 0..self.sys.config().cores as u16 {
-                let st = self.state(s, c, b);
-                if st.is_valid() {
-                    holders.push((c, st));
-                }
-            }
-            let owners = holders.iter().filter(|(_, st)| st.is_owned()).count();
-            assert!(owners <= 1, "SWMR violated at {b:?}: {holders:?}");
-            if owners == 1 {
-                assert_eq!(holders.len(), 1, "owner coexists with sharers at {b:?}");
-            }
-            // Every private copy is tracked somewhere (entry in socket or
-            // housed at home memory).
-            if !holders.is_empty() {
-                assert!(
-                    entry.is_some() || self.sys.memory_corrupted(b),
-                    "untracked private copies at {b:?}"
-                );
-            }
-            if let Some(e) = entry {
-                for (c, _) in &holders {
-                    assert!(
-                        e.sharers.contains(CoreId(*c)),
-                        "directory lost sharer c{c} of {b:?}"
-                    );
-                }
-            }
-        }
     }
 }
 

@@ -6,122 +6,19 @@
 //! spill policies, multi-socket machines, and with the audit oracle
 //! attached.
 
+mod common;
+
+use common::Model;
 use zerodev_common::config::{
     CacheGeometry, DirectoryKind, LlcDesign, LlcReplacement, Ratio, SpillPolicy, SystemConfig,
     ZeroDevConfig,
 };
 use zerodev_common::snap::{SnapReader, SnapWriter};
-use zerodev_common::{BlockAddr, CoreId, Cycle, MesiState, Prng, SocketId};
-use zerodev_core::{system::Downgrade, EvictKind, InvalReason, Invalidation, Op, System};
+use zerodev_common::{BlockAddr, Prng};
+use zerodev_core::System;
 
 const MAGIC: u64 = 0x7357_5eed_5eed_7357;
 const VERSION: u32 = 1;
-
-/// Minimal private-cache model so invalidations/downgrades are honoured the
-/// way the protocol expects (dirty recalls reported back, etc.).
-struct Model {
-    sys: System,
-    lines: std::collections::HashMap<(u8, u16, u64), MesiState>,
-}
-
-impl Model {
-    fn new(sys: System) -> Self {
-        Model {
-            sys,
-            lines: std::collections::HashMap::new(),
-        }
-    }
-
-    fn state(&self, s: u8, c: u16, b: BlockAddr) -> MesiState {
-        self.lines
-            .get(&(s, c, b.0))
-            .copied()
-            .unwrap_or(MesiState::Invalid)
-    }
-
-    fn set(&mut self, s: u8, c: u16, b: BlockAddr, st: MesiState) {
-        if st == MesiState::Invalid {
-            self.lines.remove(&(s, c, b.0));
-        } else {
-            self.lines.insert((s, c, b.0), st);
-        }
-    }
-
-    fn apply(&mut self, invals: Vec<Invalidation>, downs: Vec<Downgrade>) {
-        for d in downs {
-            if self.state(d.socket.0, d.core.0, d.block) == MesiState::Modified {
-                self.sys.sharing_writeback(Cycle(0), d.socket, d.block);
-            }
-            self.set(d.socket.0, d.core.0, d.block, MesiState::Shared);
-        }
-        let mut pending = invals;
-        while let Some(inv) = pending.pop() {
-            if self.state(inv.socket.0, inv.core.0, inv.block) == MesiState::Modified {
-                match inv.reason {
-                    InvalReason::Dev => {
-                        pending.extend(self.sys.dev_dirty_recall(Cycle(0), inv.socket, inv.block));
-                    }
-                    InvalReason::Inclusion => {
-                        self.sys
-                            .inclusion_dirty_writeback(Cycle(0), inv.socket, inv.block);
-                    }
-                    InvalReason::Coherence => {}
-                }
-            }
-            self.set(inv.socket.0, inv.core.0, inv.block, MesiState::Invalid);
-        }
-    }
-
-    fn step(&mut self, rng: &mut Prng, blocks: &[BlockAddr]) {
-        let s = (rng.below(self.sys.config().sockets as u64)) as u8;
-        let c = (rng.below(self.sys.config().cores as u64)) as u16;
-        let b = blocks[rng.below(blocks.len() as u64) as usize];
-        let st = self.state(s, c, b);
-        match rng.below(10) {
-            0..=1 if st.is_valid() => {
-                let kind = match st {
-                    MesiState::Modified => EvictKind::Dirty,
-                    MesiState::Exclusive => EvictKind::CleanExclusive,
-                    MesiState::Shared => EvictKind::CleanShared,
-                    MesiState::Invalid => unreachable!(),
-                };
-                let invals = self.sys.evict(Cycle(0), SocketId(s), CoreId(c), b, kind);
-                self.set(s, c, b, MesiState::Invalid);
-                self.apply(invals, Vec::new());
-            }
-            2..=4 => match st {
-                MesiState::Modified => {}
-                MesiState::Exclusive => self.set(s, c, b, MesiState::Modified),
-                MesiState::Shared => {
-                    let r = self
-                        .sys
-                        .access(Cycle(0), SocketId(s), CoreId(c), b, Op::Upgrade);
-                    self.apply(r.invalidations, r.downgrades);
-                    self.set(s, c, b, MesiState::Modified);
-                }
-                MesiState::Invalid => {
-                    let r = self
-                        .sys
-                        .access(Cycle(0), SocketId(s), CoreId(c), b, Op::ReadExclusive);
-                    let grant = r.grant;
-                    self.apply(r.invalidations, r.downgrades);
-                    self.set(s, c, b, grant);
-                }
-            },
-            _ => {
-                if st.is_valid() {
-                    return;
-                }
-                let r = self
-                    .sys
-                    .access(Cycle(0), SocketId(s), CoreId(c), b, Op::Read);
-                let grant = r.grant;
-                self.apply(r.invalidations, r.downgrades);
-                self.set(s, c, b, grant);
-            }
-        }
-    }
-}
 
 fn snap_bytes(sys: &System) -> Vec<u8> {
     let mut w = SnapWriter::new(MAGIC, VERSION);
@@ -140,9 +37,8 @@ fn restore(cfg: SystemConfig, bytes: &[u8]) -> System {
 fn round_trip(cfg: SystemConfig, seed: u64) {
     let blocks: Vec<BlockAddr> = (0..96u64).map(|i| BlockAddr(0x1000 + i * 3)).collect();
     let mut rng = Prng::seeded(seed);
-    let mut sys = System::new(cfg.clone()).expect("valid config");
-    sys.enable_audit();
-    let mut m = Model::new(sys);
+    let mut m = Model::new(cfg.clone());
+    m.sys.enable_audit();
     for _ in 0..2_500 {
         m.step(&mut rng, &blocks);
     }

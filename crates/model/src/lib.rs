@@ -9,8 +9,9 @@
 //!
 //! The transition relation is not a re-implementation: the checker drives
 //! the same concrete [`zerodev_core::System`] the simulator uses, through
-//! [`zerodev_core::ProtocolHarness`], which replicates the sim engine's
-//! effect-application contract. Rules shared by both live in
+//! [`zerodev_core::ProtocolHarness`], which applies effects through
+//! [`zerodev_core::System::apply_effects`] exactly as the simulator does.
+//! Rules shared by both live in
 //! [`zerodev_common::protocol`]. A protocol bug therefore cannot hide in a
 //! divergence between "the model" and "the implementation".
 //!

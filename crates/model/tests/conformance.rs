@@ -5,8 +5,10 @@
 //!
 //! This is the guard against the classic model-checking failure mode — a
 //! hand-copied abstract model that drifts from the implementation. The
-//! checker drives the real `System`, so the only thing that could diverge
-//! is determinism of the transition function itself; this test pins that.
+//! checker drives the real `System` and applies effects through
+//! `System::apply_effects`, the simulator's own call, so the only thing
+//! that could diverge is determinism of the transition function itself;
+//! this test pins that.
 
 use zerodev_common::config::{LlcDesign, SpillPolicy};
 use zerodev_core::step::ProtocolHarness;

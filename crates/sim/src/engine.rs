@@ -4,8 +4,10 @@
 use crate::core_model::{AccessEffects, CoreModel};
 use crate::faults::{FaultConfig, FaultPlan, FaultStats};
 use zerodev_common::snap::{SnapError, SnapReader, SnapWriter};
-use zerodev_common::{CoreId, Cycle, MesiState, MsgClass, SocketId, Stats, SystemConfig};
-use zerodev_core::{InvalReason, System};
+use zerodev_common::{
+    BlockAddr, CoreId, Cycle, MesiState, MsgClass, SocketId, Stats, SystemConfig,
+};
+use zerodev_core::{PrivateCaches, System};
 use zerodev_workloads::{Workload, WorkloadKind};
 
 /// Cycles a core may go without retiring a reference before the watchdog
@@ -283,72 +285,6 @@ impl SimResult {
     }
 }
 
-/// Where [`apply_effects_via`] lands invalidations/downgrades. The engine's
-/// sink routes them straight into its `Vec<CoreModel>`; the trait keeps the
-/// effect contract independent of who holds the private hierarchies.
-pub(crate) trait EffectSink {
-    /// Downgrades `block` at `(socket, core)`; returns true when the copy
-    /// was Modified (the caller then reports the sharing writeback).
-    fn downgrade(
-        &mut self,
-        socket: SocketId,
-        core: CoreId,
-        block: zerodev_common::BlockAddr,
-    ) -> bool;
-    /// Invalidates `block` at `(socket, core)`; returns the state the copy
-    /// was in (the caller routes Modified data back to the protocol).
-    fn invalidate(
-        &mut self,
-        socket: SocketId,
-        core: CoreId,
-        block: zerodev_common::BlockAddr,
-    ) -> MesiState;
-}
-
-/// Applies one access's invalidations/downgrades through `sink`, reporting
-/// dirty data back to the protocol (which may cascade). Returns the
-/// core-visible latency: private latency plus the uncore latency de-rated
-/// by the workload's memory-level parallelism.
-///
-/// Drains the effect buffer in place so callers can reuse one allocation
-/// across every reference: invalidations are consumed LIFO off the tail
-/// while cascading recalls append to the same vector — exactly the order
-/// the former take-and-extend version processed.
-// Responses terminate at the requesting core: delivering them generates
-// no further traffic, which is what makes vnet 3 the drain of the order.
-// lint:consumes(Data, Ack, MemReadData, SocketData)
-pub(crate) fn apply_effects_via(
-    sys: &mut System,
-    now: Cycle,
-    fx: &mut AccessEffects,
-    mlp: f64,
-    sink: &mut impl EffectSink,
-) -> u64 {
-    let latency = fx.latency + (fx.uncore_latency as f64 / mlp.max(1.0)).round() as u64;
-    for d in fx.downgrades.drain(..) {
-        if sink.downgrade(d.socket, d.core, d.block) {
-            sys.sharing_writeback(now, d.socket, d.block);
-        }
-    }
-    while let Some(inv) = fx.invalidations.pop() {
-        let state = sink.invalidate(inv.socket, inv.core, inv.block);
-        if state == MesiState::Modified {
-            match inv.reason {
-                InvalReason::Dev => {
-                    sys.dev_dirty_recall_into(now, inv.socket, inv.block, &mut fx.invalidations);
-                }
-                InvalReason::Inclusion => {
-                    sys.inclusion_dirty_writeback(now, inv.socket, inv.block);
-                }
-                InvalReason::Coherence => {
-                    // Dirty data travelled with the ownership transfer.
-                }
-            }
-        }
-    }
-    latency
-}
-
 /// The serial sink: effects land directly on the committed core models.
 struct CoreSink<'a> {
     cores: &'a mut [CoreModel],
@@ -362,23 +298,13 @@ impl CoreSink<'_> {
     }
 }
 
-impl EffectSink for CoreSink<'_> {
-    fn downgrade(
-        &mut self,
-        socket: SocketId,
-        core: CoreId,
-        block: zerodev_common::BlockAddr,
-    ) -> bool {
+impl PrivateCaches for CoreSink<'_> {
+    fn downgrade(&mut self, socket: SocketId, core: CoreId, block: BlockAddr) -> bool {
         let idx = self.index(socket, core);
         self.cores[idx].apply_downgrade(block)
     }
 
-    fn invalidate(
-        &mut self,
-        socket: SocketId,
-        core: CoreId,
-        block: zerodev_common::BlockAddr,
-    ) -> MesiState {
+    fn invalidate(&mut self, socket: SocketId, core: CoreId, block: BlockAddr) -> MesiState {
         let idx = self.index(socket, core);
         self.cores[idx].apply_invalidation(block)
     }
@@ -507,15 +433,19 @@ impl Simulation {
         self.sys.enable_audit();
     }
 
-    /// Applies invalidations/downgrades to the victim cores via
-    /// [`apply_effects_via`].
+    /// Applies invalidations/downgrades to the victim cores through
+    /// [`System::apply_effects`]. Returns the core-visible latency: private
+    /// latency plus the uncore latency de-rated by the workload's
+    /// memory-level parallelism.
     fn apply_effects(&mut self, now: Cycle, fx: &mut AccessEffects, mlp: f64) -> u64 {
-        let cores_per_socket = self.sys.config().cores;
+        let latency = fx.latency + (fx.uncore_latency as f64 / mlp.max(1.0)).round() as u64;
         let mut sink = CoreSink {
             cores: &mut self.cores,
-            cores_per_socket,
+            cores_per_socket: self.sys.config().cores,
         };
-        apply_effects_via(&mut self.sys, now, fx, mlp, &mut sink)
+        self.sys
+            .apply_effects(now, &mut fx.invalidations, &mut fx.downgrades, &mut sink);
+        latency
     }
 
     /// Requester-side fault handling *before* the access reaches the
@@ -527,7 +457,7 @@ impl Simulation {
         &mut self,
         t: usize,
         issue: u64,
-        block: zerodev_common::BlockAddr,
+        block: BlockAddr,
         d: crate::faults::FaultDraw,
     ) -> Result<(), SimError> {
         let Some(len) = d.nack_storm else {
@@ -571,13 +501,7 @@ impl Simulation {
     /// and dropped — idempotent if the line is still tracked, stale if it
     /// raced an invalidation), and armed state corruption (injected once a
     /// victim exists, then immediately re-checked by the oracle).
-    fn fault_post(
-        &mut self,
-        t: usize,
-        done: u64,
-        block: zerodev_common::BlockAddr,
-        d: crate::faults::FaultDraw,
-    ) {
+    fn fault_post(&mut self, t: usize, done: u64, block: BlockAddr, d: crate::faults::FaultDraw) {
         let (socket, core) = (self.cores[t].socket(), self.cores[t].core());
         if let Some(extra) = d.delay {
             let plan = self.faults.as_deref_mut().expect("plan present");

@@ -9,6 +9,7 @@ use zerodev::common::ids::SharerSet;
 use zerodev::common::rng::Zipf;
 use zerodev::common::table::geomean;
 use zerodev::common::Prng;
+use zerodev::core::PrivateCaches;
 use zerodev::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -236,6 +237,25 @@ fn geomean_between_min_and_max() {
 // Protocol invariants under random stimulus
 // ---------------------------------------------------------------------
 
+/// Private copies of a one-socket machine, keyed by `(core, block)`.
+#[derive(Default)]
+struct OneSocket(HashMap<(u16, u64), MesiState>);
+
+impl PrivateCaches for OneSocket {
+    fn downgrade(&mut self, _: SocketId, core: CoreId, block: BlockAddr) -> bool {
+        let Some(st) = self.0.get_mut(&(core.0, block.0)) else {
+            return false;
+        };
+        std::mem::replace(st, MesiState::Shared) == MesiState::Modified
+    }
+
+    fn invalidate(&mut self, _: SocketId, core: CoreId, block: BlockAddr) -> MesiState {
+        self.0
+            .remove(&(core.0, block.0))
+            .unwrap_or(MesiState::Invalid)
+    }
+}
+
 #[test]
 fn zerodev_never_devs_under_random_traffic() {
     for seed in 0..12u64 {
@@ -263,57 +283,33 @@ fn zerodev_never_devs_under_random_traffic() {
         );
         let mut sys = System::new(cfg).unwrap();
         // A tiny legal driver: track private states, honour the contract.
-        let mut lines: HashMap<(u16, u64), MesiState> = HashMap::new();
+        let mut lines = OneSocket::default();
         for _ in 0..ops {
             let c = rng.below(4) as u16;
             let b = BlockAddr(0x100 + rng.below(48) * 5);
-            let st = lines.get(&(c, b.0)).copied().unwrap_or(MesiState::Invalid);
-            let r = match (st, rng.below(3)) {
-                (MesiState::Invalid, 0) => {
-                    Some(sys.access(Cycle(0), SocketId(0), CoreId(c), b, Op::ReadExclusive))
-                }
-                (MesiState::Invalid, _) => {
-                    Some(sys.access(Cycle(0), SocketId(0), CoreId(c), b, Op::Read))
-                }
-                (MesiState::Shared, 0) => {
-                    Some(sys.access(Cycle(0), SocketId(0), CoreId(c), b, Op::Upgrade))
-                }
+            let st = lines
+                .0
+                .get(&(c, b.0))
+                .copied()
+                .unwrap_or(MesiState::Invalid);
+            let op = match (st, rng.below(3)) {
+                (MesiState::Invalid, 0) => Some(Op::ReadExclusive),
+                (MesiState::Invalid, _) => Some(Op::Read),
+                (MesiState::Shared, 0) => Some(Op::Upgrade),
                 (s2, 1) if s2.is_valid() => {
-                    let kind = match s2 {
-                        MesiState::Modified => EvictKind::Dirty,
-                        MesiState::Exclusive => EvictKind::CleanExclusive,
-                        _ => EvictKind::CleanShared,
-                    };
-                    let invals = sys.evict(Cycle(0), SocketId(0), CoreId(c), b, kind);
-                    lines.remove(&(c, b.0));
-                    for inv in invals {
-                        lines.remove(&(inv.core.0, inv.block.0));
-                    }
+                    let kind = EvictKind::for_state(s2).expect("valid copy");
+                    let mut invals = sys.evict(Cycle(0), SocketId(0), CoreId(c), b, kind);
+                    lines.0.remove(&(c, b.0));
+                    sys.apply_effects(Cycle(0), &mut invals, &mut Vec::new(), &mut lines);
                     None
                 }
                 _ => None,
             };
-            if let Some(res) = r {
-                let grant = match (st, res.grant) {
-                    (MesiState::Shared, MesiState::Modified) => MesiState::Modified,
-                    (_, g) => g,
-                };
-                for inv in &res.invalidations {
-                    if inv.core.0 != c || inv.block != b {
-                        lines.remove(&(inv.core.0, inv.block.0));
-                    }
-                }
-                for d in &res.downgrades {
-                    if let Some(s3) = lines.get_mut(&(d.core.0, d.block.0)) {
-                        if s3.is_owned() {
-                            if *s3 == MesiState::Modified {
-                                sys.sharing_writeback(Cycle(0), d.socket, d.block);
-                            }
-                            *s3 = MesiState::Shared;
-                        }
-                    }
-                }
-                lines.insert((c, b.0), grant);
+            if let Some(op) = op {
+                let mut res = sys.access(Cycle(0), SocketId(0), CoreId(c), b, op);
+                let (invals, downs) = (&mut res.invalidations, &mut res.downgrades);
+                sys.apply_effects(Cycle(0), invals, downs, &mut lines);
+                lines.0.insert((c, b.0), res.grant);
             }
             assert_eq!(
                 sys.stats.dev_invalidations, 0,
