@@ -342,13 +342,15 @@ impl LlcBank {
         self.array.iter().map(|(k, l)| (self.block_of(k), l))
     }
 
-    /// The contents of the set `block` maps to, in MRU→LRU order (the model
+    /// Walks the set `block` maps to, in MRU→LRU order (the model
     /// checker's canonical state encoding includes replacement order).
-    pub fn set_contents_mru(&self, block: BlockAddr) -> Vec<(BlockAddr, LlcLine)> {
+    pub fn set_contents_mru(
+        &self,
+        block: BlockAddr,
+    ) -> impl Iterator<Item = (BlockAddr, &LlcLine)> + '_ {
         self.array
             .iter_set(self.key(block))
-            .map(|(k, l)| (self.block_of(k), *l))
-            .collect()
+            .map(|(k, l)| (self.block_of(k), l))
     }
 
     /// Number of valid lines.

@@ -1176,10 +1176,14 @@ impl System {
         self.sockets[socket.0 as usize].dir.peek(block)
     }
 
-    /// The full contents of the LLC set `block` maps to in `socket`,
-    /// MRU→LRU — replacement order is protocol-visible state, so the model
-    /// checker folds it into its canonical state encoding.
-    pub fn llc_set_of(&self, socket: SocketId, block: BlockAddr) -> Vec<(BlockAddr, LlcLine)> {
+    /// Walks the LLC set `block` maps to in `socket`, MRU→LRU —
+    /// replacement order is protocol-visible state, so the model checker
+    /// folds it into its canonical state encoding.
+    pub fn llc_set_of(
+        &self,
+        socket: SocketId,
+        block: BlockAddr,
+    ) -> impl Iterator<Item = (BlockAddr, &LlcLine)> + '_ {
         self.sockets[socket.0 as usize].banks[self.bank_of(block)].set_contents_mru(block)
     }
 

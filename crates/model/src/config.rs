@@ -5,6 +5,7 @@
 //! sets refuse spills; multi-block sets displace spilled entries), GET_DE
 //! recall, and corrupted-home-memory reads.
 
+use crate::state::{MAX_CORES, MAX_SOCKETS};
 use std::fmt;
 use zerodev_common::config::{
     CacheGeometry, DirectoryKind, LlcDesign, SegmentFormat, SpillPolicy, SystemConfig,
@@ -50,8 +51,11 @@ pub fn tiny(
     addrs: usize,
     llc_ways: usize,
 ) -> ModelConfig {
-    assert!((1..=4).contains(&cores), "abstract machines stay tiny");
-    assert!(sockets == 1 || sockets == 2, "1-2 sockets");
+    assert!(
+        (1..=MAX_CORES).contains(&cores),
+        "abstract machines stay tiny"
+    );
+    assert!((1..=MAX_SOCKETS).contains(&sockets), "1-2 sockets");
     assert!((1..=2).contains(&addrs), "1-2 addresses per home");
     let mut cfg = SystemConfig::baseline_8core();
     cfg.cores = cores;
@@ -82,4 +86,28 @@ pub fn tiny(
     let name =
         format!("{policy}/{design:?} {cores}c x {sockets}s, {addrs} addr/home, {llc_ways}-way LLC");
     ModelConfig { name, cfg, blocks }
+}
+
+/// The exhaustive matrix `zerodev_model` explores: every spill policy ×
+/// LLC design on the smallest machine that still reaches spill refusal →
+/// WB_DE and corrupted memory, then richer machines — entry-vs-entry
+/// displacement with two addresses, a third core, two ways, and a second
+/// socket.
+pub fn matrix() -> Vec<ModelConfig> {
+    use LlcDesign::{Epd, Inclusive, NonInclusive};
+    use SpillPolicy::{FuseAll, FusePrivateSpillShared, SpillAll};
+    let policies = [SpillAll, FusePrivateSpillShared, FuseAll];
+    let mut out = Vec::new();
+    for policy in policies {
+        for design in [NonInclusive, Epd, Inclusive] {
+            out.push(tiny(policy, design, 2, 1, 1, 1));
+        }
+    }
+    for policy in policies {
+        out.push(tiny(policy, NonInclusive, 2, 1, 2, 2));
+        out.push(tiny(policy, Epd, 2, 1, 2, 1));
+    }
+    out.push(tiny(FusePrivateSpillShared, Inclusive, 3, 1, 1, 1));
+    out.push(tiny(FusePrivateSpillShared, NonInclusive, 2, 2, 1, 1));
+    out
 }

@@ -63,7 +63,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Exploration bounds (full exploration uses `Limits::default()`).
 #[derive(Clone, Copy, Debug)]
 pub struct Limits {
-    /// Stop enqueueing new states beyond this many (the quick CI mode).
+    /// Stop enqueueing new states beyond this many.
     pub max_states: usize,
     /// Do not expand states deeper than this.
     pub max_depth: usize,
@@ -79,7 +79,8 @@ impl Default for Limits {
 }
 
 impl Limits {
-    /// The bounded quick mode wired into CI (`ZERODEV_MC_QUICK`).
+    /// A bounded exploration for a quick probe: the `perf_gate` model-checker
+    /// probe in `zerodev-bench` uses it.
     pub fn quick() -> Self {
         Limits {
             max_states: 4000,

@@ -1,8 +1,7 @@
 //! ZeroDEV exhaustive model checker CLI.
 //!
 //! ```text
-//! cargo run -p zerodev_model --release              # full matrix
-//! ZERODEV_MC_QUICK=1 cargo run -p zerodev_model     # bounded CI smoke
+//! cargo run -p zerodev_model --release
 //! ```
 //!
 //! Explores every policy × LLC-design combination on tiny machines,
@@ -14,71 +13,16 @@
 
 use zerodev_common::config::{LlcDesign, SpillPolicy};
 use zerodev_common::protocol::{set_mutation, Mutation, ALL_MUTATIONS};
-use zerodev_model::config::tiny;
+use zerodev_model::config::{matrix, tiny};
 use zerodev_model::explore::{explore, Limits};
 
-const POLICIES: [SpillPolicy; 3] = [
-    SpillPolicy::SpillAll,
-    SpillPolicy::FusePrivateSpillShared,
-    SpillPolicy::FuseAll,
-];
-const DESIGNS: [LlcDesign; 3] = [
-    LlcDesign::NonInclusive,
-    LlcDesign::Epd,
-    LlcDesign::Inclusive,
-];
-
 fn main() {
-    let quick = std::env::var("ZERODEV_MC_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
-    let limits = if quick {
-        Limits::quick()
-    } else {
-        Limits::default()
-    };
+    let limits = Limits::default();
     let mut failed = false;
 
     println!("== ZeroDEV model checker: reachable-state exploration ==");
-    if quick {
-        println!(
-            "(quick mode: bounded to {} states / depth {})",
-            limits.max_states, limits.max_depth
-        );
-    }
 
-    // The core matrix: 3 policies x 3 LLC designs on the smallest machine
-    // that still reaches spill refusal -> WB_DE and corrupted memory.
-    let mut matrix = Vec::new();
-    for policy in POLICIES {
-        for design in DESIGNS {
-            matrix.push(tiny(policy, design, 2, 1, 1, 1));
-        }
-    }
-    // Richer machines (full mode only): entry-vs-entry displacement with
-    // two addresses, a third core, two ways, and a second socket.
-    if !quick {
-        for policy in POLICIES {
-            matrix.push(tiny(policy, LlcDesign::NonInclusive, 2, 1, 2, 2));
-            matrix.push(tiny(policy, LlcDesign::Epd, 2, 1, 2, 1));
-        }
-        matrix.push(tiny(
-            SpillPolicy::FusePrivateSpillShared,
-            LlcDesign::Inclusive,
-            3,
-            1,
-            1,
-            1,
-        ));
-        matrix.push(tiny(
-            SpillPolicy::FusePrivateSpillShared,
-            LlcDesign::NonInclusive,
-            2,
-            2,
-            1,
-            1,
-        ));
-    }
-
-    for mc in &matrix {
+    for mc in &matrix() {
         let ex = explore(mc, &limits);
         let status = if let Some(v) = &ex.violation {
             failed = true;
@@ -88,8 +32,6 @@ fn main() {
             failed = true;
             println!("{}", v.render());
             "LIVELOCK"
-        } else if ex.truncated {
-            "ok (bounded)"
         } else {
             "ok (exhaustive)"
         };

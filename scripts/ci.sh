@@ -73,9 +73,8 @@ ls "$soak_dir"/torture_ping_pong_baseline_*.trace >/dev/null
 rm -rf "$soak_dir"
 echo "soak quarantine check passed"
 
-echo "== model checker smoke (bounded exploration) =="
-ZERODEV_MC_QUICK=1 \
-    cargo run --release -p zerodev_model >/dev/null
+echo "== model checker (exhaustive matrix + mutation hunt) =="
+cargo run --release -p zerodev_model >/dev/null
 
 echo "== perf regression gate (standardized probe vs committed BENCH) =="
 # Re-measures the fixed serial probe and compares against the newest
