@@ -7,6 +7,7 @@
 //! driver's budget-aware checkpointing stands on.
 
 use zerodev_bench::{baseline, zerodev_default_nodir};
+use zerodev_common::snap::fnv1a;
 use zerodev_common::SystemConfig;
 use zerodev_sim::{FaultConfig, PausedRun, RunStatus, SimResult, Simulation, StateFault};
 use zerodev_workloads::multithreaded;
@@ -26,13 +27,16 @@ struct Point {
     cut: u64,
 }
 
-fn matrix() -> Vec<Point> {
-    let message_faults = FaultConfig {
+fn message_faults() -> FaultConfig {
+    FaultConfig {
         nack_ppm: 20_000,
         delay_ppm: 10_000,
         dup_ppm: 10_000,
         ..Default::default()
-    };
+    }
+}
+
+fn matrix() -> Vec<Point> {
     let corrupting = FaultConfig {
         corrupt: Some((StateFault::SharerFlip, 900)),
         ..Default::default()
@@ -64,7 +68,7 @@ fn matrix() -> Vec<Point> {
             app: "torture.entry_thrash",
             seed: 0x5eed_0003,
             audit: true,
-            faults: Some(message_faults),
+            faults: Some(message_faults()),
             refs: REFS,
             cut: 1_500,
         },
@@ -197,6 +201,28 @@ fn checkpoint_round_trips_through_restore() {
     );
     assert_eq!(run.refs_retired(), restored.refs_retired());
     assert_eq!(run.refs_per_core(), restored.refs_per_core());
+}
+
+/// FNV-1a of one checkpoint image, pinned. Round trips cannot see a field
+/// reorder mirrored in both `snap` and `unsnap`; this golden can. It must
+/// only move together with a `checkpoint::VERSION` bump.
+#[test]
+fn checkpoint_image_layout_is_pinned() {
+    let p = Point {
+        faults: Some(message_faults()),
+        ..matrix()[4].clone()
+    };
+    assert_eq!(p.cfg.sockets, 4);
+    assert!(p.audit);
+    let mut run = build(&p).start(p.refs, WARM);
+    assert_eq!(run.advance(p.cut).expect("clean"), RunStatus::Paused);
+    let image = run.checkpoint();
+    assert_eq!(zerodev_sim::checkpoint::VERSION, 1);
+    assert_eq!(
+        (image.len(), fnv1a(&image)),
+        (12_191_403, 0x8f4a_c037_77d5_453c),
+        "checkpoint image layout moved"
+    );
 }
 
 #[test]

@@ -477,26 +477,37 @@ impl<T> SetAssoc<T> {
         w: &mut zerodev_common::snap::SnapWriter,
         mut ser: impl FnMut(&mut zerodev_common::snap::SnapWriter, &T),
     ) {
-        w.usize(self.sets);
-        w.usize(self.ways);
-        w.u8(match self.policy {
+        let Self {
+            sets,
+            ways,
+            tags,
+            meta,
+            data,
+            recency,
+            set_live,
+            policy,
+            live,
+        } = self;
+        w.usize(*sets);
+        w.usize(*ways);
+        w.u8(match policy {
             Replacement::Lru => 0,
             Replacement::Nru => 1,
         });
-        w.usize(self.live);
-        for &t in &self.tags {
+        w.usize(*live);
+        for &t in tags {
             w.u64(t);
         }
-        for &m in &self.meta {
+        for &m in meta {
             w.u8(m);
         }
-        for &r in &self.recency {
+        for &r in recency {
             w.u8(r);
         }
-        for &l in &self.set_live {
+        for &l in set_live {
             w.u8(l);
         }
-        for d in &self.data {
+        for d in data {
             match d {
                 Some(v) => {
                     w.bool(true);
@@ -522,9 +533,20 @@ impl<T> SetAssoc<T> {
         ) -> Result<T, zerodev_common::snap::SnapError>,
     ) -> Result<(), zerodev_common::snap::SnapError> {
         use zerodev_common::snap::SnapError;
-        let sets = r.usize("setassoc sets")?;
-        let ways = r.usize("setassoc ways")?;
-        let policy = match r.u8("setassoc policy")? {
+        let Self {
+            sets,
+            ways,
+            tags,
+            meta,
+            data,
+            recency,
+            set_live,
+            policy,
+            live,
+        } = self;
+        let image_sets = r.usize("setassoc sets")?;
+        let image_ways = r.usize("setassoc ways")?;
+        let image_policy = match r.u8("setassoc policy")? {
             0 => Replacement::Lru,
             1 => Replacement::Nru,
             _ => {
@@ -533,31 +555,31 @@ impl<T> SetAssoc<T> {
                 })
             }
         };
-        if sets != self.sets || ways != self.ways || policy != self.policy {
+        if (image_sets, image_ways, image_policy) != (*sets, *ways, *policy) {
             return Err(SnapError::Corrupt {
                 context: "setassoc geometry",
             });
         }
-        let live = r.usize("setassoc live")?;
-        if live > sets * ways {
+        let image_live = r.usize("setassoc live")?;
+        if image_live > *sets * *ways {
             return Err(SnapError::Corrupt {
                 context: "setassoc live count",
             });
         }
-        self.live = live;
-        for t in self.tags.iter_mut() {
+        *live = image_live;
+        for t in tags.iter_mut() {
             *t = r.u64("setassoc tag")?;
         }
-        for m in self.meta.iter_mut() {
+        for m in meta.iter_mut() {
             *m = r.u8("setassoc meta")?;
         }
-        for rec in self.recency.iter_mut() {
+        for rec in recency.iter_mut() {
             *rec = r.u8("setassoc recency")?;
         }
-        for l in self.set_live.iter_mut() {
+        for l in set_live.iter_mut() {
             *l = r.u8("setassoc set_live")?;
         }
-        for d in self.data.iter_mut() {
+        for d in data.iter_mut() {
             *d = if r.bool("setassoc line flag")? {
                 Some(de(r)?)
             } else {

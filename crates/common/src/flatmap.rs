@@ -205,10 +205,16 @@ impl<V> FlatMap<V> {
         w: &mut crate::snap::SnapWriter,
         mut ser: impl FnMut(&mut crate::snap::SnapWriter, &V),
     ) {
-        w.usize(self.keys.len());
-        w.usize(self.len);
-        w.u32(self.shift);
-        for (k, v) in self.keys.iter().zip(self.vals.iter()) {
+        let FlatMap {
+            keys,
+            vals,
+            len,
+            shift,
+        } = self;
+        w.usize(keys.len());
+        w.usize(*len);
+        w.u32(*shift);
+        for (k, v) in keys.iter().zip(vals) {
             match v {
                 Some(v) => {
                     w.bool(true);

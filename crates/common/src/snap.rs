@@ -16,6 +16,53 @@
 //! magic, and version before any field is decoded, so a truncated or
 //! corrupted checkpoint fails with a structured [`SnapError`] instead of
 //! deserializing garbage. All integers are little-endian.
+//!
+//! # Completeness is the compiler's job
+//!
+//! Every `snap`/`unsnap` pair binds its state by exhaustive destructuring
+//! — `let Self { a, b } = self;` or a full struct literal, never `..` — so
+//! a field added to a checkpointed type but not to its checkpoint code is
+//! a compile error rather than a silently broken resume:
+//!
+//! ```compile_fail,E0027
+//! struct Counters {
+//!     hits: u64,
+//!     misses: u64,
+//! }
+//!
+//! impl Counters {
+//!     fn snap(&self, out: &mut Vec<u64>) {
+//!         let Counters { hits } = self; // `misses` is not mentioned
+//!         out.push(*hits);
+//!     }
+//! }
+//! ```
+//!
+//! A field that is deliberately not stored (configuration, or state that
+//! is rebuilt on restore) is bound as `field: _` with a one-line reason:
+//!
+//! ```
+//! use zerodev_common::snap::SnapWriter;
+//!
+//! struct Mesh {
+//!     cols: usize,
+//!     messages: u64,
+//! }
+//!
+//! impl Mesh {
+//!     fn snap(&self, w: &mut SnapWriter) {
+//!         let Mesh {
+//!             cols: _, // geometry is configuration, rebuilt on restore
+//!             messages,
+//!         } = self;
+//!         w.u64(*messages);
+//!     }
+//! }
+//!
+//! let mut w = SnapWriter::new(0x5eed, 1);
+//! Mesh { cols: 4, messages: 7 }.snap(&mut w);
+//! assert_eq!(w.len(), 8 + 4 + 8);
+//! ```
 
 use std::fmt;
 

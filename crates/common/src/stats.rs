@@ -4,7 +4,7 @@
 //! merges them and derives the figures' metrics (normalised traffic, core
 //! cache misses, speedups, DRAM traffic breakdowns, DEV counts).
 
-use crate::msg::{MsgClass, ALL_CLASSES};
+use crate::msg::MsgClass;
 
 /// Aggregated simulation counters.
 ///
@@ -166,151 +166,210 @@ impl Stats {
     /// Merges another counter set into this one (gauges take the max of the
     /// high-water marks and the sum of the currents).
     pub fn merge(&mut self, other: &Stats) {
-        for i in 0..ALL_CLASSES.len() {
-            self.msg_counts[i] += other.msg_counts[i];
-            self.msg_bytes[i] += other.msg_bytes[i];
+        let Stats {
+            msg_counts,
+            msg_bytes,
+            core_cache_misses,
+            l1d_misses,
+            l1i_misses,
+            upgrades,
+            llc_hits,
+            llc_misses,
+            llc_tag_lookups,
+            llc_data_accesses,
+            llc_dir_accesses,
+            dir_lookups,
+            dir_allocs,
+            dir_evictions,
+            dev_invalidations,
+            dev_dirty_recalls,
+            inclusion_invalidations,
+            coherence_invalidations,
+            dir_spills,
+            dir_fuses,
+            dir_llc_evictions,
+            get_de_requests,
+            denf_nacks,
+            fused_read_forwards,
+            spilled_lines_current,
+            spilled_lines_max,
+            dir_live_entries,
+            dir_live_entries_max,
+            dram_reads,
+            dram_writes,
+            dram_writes_dir,
+            dram_reads_dir,
+            llc_read_misses_corrupted,
+            two_hop_reads,
+            three_hop_reads,
+            socket_misses,
+        } = other;
+        let lanes = self.msg_counts.iter_mut().chain(&mut self.msg_bytes);
+        for (a, b) in lanes.zip(msg_counts.iter().chain(msg_bytes)) {
+            *a += b;
         }
-        self.core_cache_misses += other.core_cache_misses;
-        self.l1d_misses += other.l1d_misses;
-        self.l1i_misses += other.l1i_misses;
-        self.upgrades += other.upgrades;
-        self.llc_hits += other.llc_hits;
-        self.llc_misses += other.llc_misses;
-        self.llc_tag_lookups += other.llc_tag_lookups;
-        self.llc_data_accesses += other.llc_data_accesses;
-        self.llc_dir_accesses += other.llc_dir_accesses;
-        self.dir_lookups += other.dir_lookups;
-        self.dir_allocs += other.dir_allocs;
-        self.dir_evictions += other.dir_evictions;
-        self.dev_invalidations += other.dev_invalidations;
-        self.dev_dirty_recalls += other.dev_dirty_recalls;
-        self.inclusion_invalidations += other.inclusion_invalidations;
-        self.coherence_invalidations += other.coherence_invalidations;
-        self.dir_spills += other.dir_spills;
-        self.dir_fuses += other.dir_fuses;
-        self.dir_llc_evictions += other.dir_llc_evictions;
-        self.get_de_requests += other.get_de_requests;
-        self.denf_nacks += other.denf_nacks;
-        self.fused_read_forwards += other.fused_read_forwards;
-        self.spilled_lines_current += other.spilled_lines_current;
-        self.spilled_lines_max = self.spilled_lines_max.max(other.spilled_lines_max);
-        self.dir_live_entries += other.dir_live_entries;
-        self.dir_live_entries_max = self.dir_live_entries_max.max(other.dir_live_entries_max);
-        self.dram_reads += other.dram_reads;
-        self.dram_writes += other.dram_writes;
-        self.dram_writes_dir += other.dram_writes_dir;
-        self.dram_reads_dir += other.dram_reads_dir;
-        self.llc_read_misses_corrupted += other.llc_read_misses_corrupted;
-        self.two_hop_reads += other.two_hop_reads;
-        self.three_hop_reads += other.three_hop_reads;
-        self.socket_misses += other.socket_misses;
+        self.core_cache_misses += core_cache_misses;
+        self.l1d_misses += l1d_misses;
+        self.l1i_misses += l1i_misses;
+        self.upgrades += upgrades;
+        self.llc_hits += llc_hits;
+        self.llc_misses += llc_misses;
+        self.llc_tag_lookups += llc_tag_lookups;
+        self.llc_data_accesses += llc_data_accesses;
+        self.llc_dir_accesses += llc_dir_accesses;
+        self.dir_lookups += dir_lookups;
+        self.dir_allocs += dir_allocs;
+        self.dir_evictions += dir_evictions;
+        self.dev_invalidations += dev_invalidations;
+        self.dev_dirty_recalls += dev_dirty_recalls;
+        self.inclusion_invalidations += inclusion_invalidations;
+        self.coherence_invalidations += coherence_invalidations;
+        self.dir_spills += dir_spills;
+        self.dir_fuses += dir_fuses;
+        self.dir_llc_evictions += dir_llc_evictions;
+        self.get_de_requests += get_de_requests;
+        self.denf_nacks += denf_nacks;
+        self.fused_read_forwards += fused_read_forwards;
+        self.spilled_lines_current += spilled_lines_current;
+        self.spilled_lines_max = self.spilled_lines_max.max(*spilled_lines_max);
+        self.dir_live_entries += dir_live_entries;
+        self.dir_live_entries_max = self.dir_live_entries_max.max(*dir_live_entries_max);
+        self.dram_reads += dram_reads;
+        self.dram_writes += dram_writes;
+        self.dram_writes_dir += dram_writes_dir;
+        self.dram_reads_dir += dram_reads_dir;
+        self.llc_read_misses_corrupted += llc_read_misses_corrupted;
+        self.two_hop_reads += two_hop_reads;
+        self.three_hop_reads += three_hop_reads;
+        self.socket_misses += socket_misses;
     }
 
     /// Serializes every counter, in declaration order, for checkpointing.
     pub fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        for v in self.msg_counts.iter().chain(self.msg_bytes.iter()) {
+        let Stats {
+            msg_counts,
+            msg_bytes,
+            core_cache_misses,
+            l1d_misses,
+            l1i_misses,
+            upgrades,
+            llc_hits,
+            llc_misses,
+            llc_tag_lookups,
+            llc_data_accesses,
+            llc_dir_accesses,
+            dir_lookups,
+            dir_allocs,
+            dir_evictions,
+            dev_invalidations,
+            dev_dirty_recalls,
+            inclusion_invalidations,
+            coherence_invalidations,
+            dir_spills,
+            dir_fuses,
+            dir_llc_evictions,
+            get_de_requests,
+            denf_nacks,
+            fused_read_forwards,
+            spilled_lines_current,
+            spilled_lines_max,
+            dir_live_entries,
+            dir_live_entries_max,
+            dram_reads,
+            dram_writes,
+            dram_writes_dir,
+            dram_reads_dir,
+            llc_read_misses_corrupted,
+            two_hop_reads,
+            three_hop_reads,
+            socket_misses,
+        } = self;
+        let scalars = [
+            core_cache_misses,
+            l1d_misses,
+            l1i_misses,
+            upgrades,
+            llc_hits,
+            llc_misses,
+            llc_tag_lookups,
+            llc_data_accesses,
+            llc_dir_accesses,
+            dir_lookups,
+            dir_allocs,
+            dir_evictions,
+            dev_invalidations,
+            dev_dirty_recalls,
+            inclusion_invalidations,
+            coherence_invalidations,
+            dir_spills,
+            dir_fuses,
+            dir_llc_evictions,
+            get_de_requests,
+            denf_nacks,
+            fused_read_forwards,
+            spilled_lines_current,
+            spilled_lines_max,
+            dir_live_entries,
+            dir_live_entries_max,
+            dram_reads,
+            dram_writes,
+            dram_writes_dir,
+            dram_reads_dir,
+            llc_read_misses_corrupted,
+            two_hop_reads,
+            three_hop_reads,
+            socket_misses,
+        ];
+        for v in msg_counts.iter().chain(msg_bytes).chain(scalars) {
             w.u64(*v);
-        }
-        for v in self.scalar_fields() {
-            w.u64(v);
         }
     }
 
     /// Rebuilds a counter set from a [`Stats::snap`] image.
     pub fn unsnap(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        let mut s = Stats::new();
-        for v in s.msg_counts.iter_mut().chain(s.msg_bytes.iter_mut()) {
+        let (mut msg_counts, mut msg_bytes) = ([0; 16], [0; 16]);
+        for v in msg_counts.iter_mut().chain(&mut msg_bytes) {
             *v = r.u64("stats msg lane")?;
         }
-        let mut scalars = [0u64; 34];
-        for v in scalars.iter_mut() {
-            *v = r.u64("stats scalar")?;
-        }
-        s.set_scalar_fields(&scalars);
-        Ok(s)
-    }
-
-    /// The non-array counters in declaration order (checkpoint layout; keep
-    /// in sync with [`Stats::set_scalar_fields`]).
-    fn scalar_fields(&self) -> [u64; 34] {
-        [
-            self.core_cache_misses,
-            self.l1d_misses,
-            self.l1i_misses,
-            self.upgrades,
-            self.llc_hits,
-            self.llc_misses,
-            self.llc_tag_lookups,
-            self.llc_data_accesses,
-            self.llc_dir_accesses,
-            self.dir_lookups,
-            self.dir_allocs,
-            self.dir_evictions,
-            self.dev_invalidations,
-            self.dev_dirty_recalls,
-            self.inclusion_invalidations,
-            self.coherence_invalidations,
-            self.dir_spills,
-            self.dir_fuses,
-            self.dir_llc_evictions,
-            self.get_de_requests,
-            self.denf_nacks,
-            self.fused_read_forwards,
-            self.spilled_lines_current,
-            self.spilled_lines_max,
-            self.dir_live_entries,
-            self.dir_live_entries_max,
-            self.dram_reads,
-            self.dram_writes,
-            self.dram_writes_dir,
-            self.dram_reads_dir,
-            self.llc_read_misses_corrupted,
-            self.two_hop_reads,
-            self.three_hop_reads,
-            self.socket_misses,
-        ]
-    }
-
-    fn set_scalar_fields(&mut self, v: &[u64; 34]) {
-        [
-            &mut self.core_cache_misses,
-            &mut self.l1d_misses,
-            &mut self.l1i_misses,
-            &mut self.upgrades,
-            &mut self.llc_hits,
-            &mut self.llc_misses,
-            &mut self.llc_tag_lookups,
-            &mut self.llc_data_accesses,
-            &mut self.llc_dir_accesses,
-            &mut self.dir_lookups,
-            &mut self.dir_allocs,
-            &mut self.dir_evictions,
-            &mut self.dev_invalidations,
-            &mut self.dev_dirty_recalls,
-            &mut self.inclusion_invalidations,
-            &mut self.coherence_invalidations,
-            &mut self.dir_spills,
-            &mut self.dir_fuses,
-            &mut self.dir_llc_evictions,
-            &mut self.get_de_requests,
-            &mut self.denf_nacks,
-            &mut self.fused_read_forwards,
-            &mut self.spilled_lines_current,
-            &mut self.spilled_lines_max,
-            &mut self.dir_live_entries,
-            &mut self.dir_live_entries_max,
-            &mut self.dram_reads,
-            &mut self.dram_writes,
-            &mut self.dram_writes_dir,
-            &mut self.dram_reads_dir,
-            &mut self.llc_read_misses_corrupted,
-            &mut self.two_hop_reads,
-            &mut self.three_hop_reads,
-            &mut self.socket_misses,
-        ]
-        .into_iter()
-        .zip(v.iter())
-        .for_each(|(dst, src)| *dst = *src);
+        let mut u = || r.u64("stats scalar");
+        Ok(Stats {
+            msg_counts,
+            msg_bytes,
+            core_cache_misses: u()?,
+            l1d_misses: u()?,
+            l1i_misses: u()?,
+            upgrades: u()?,
+            llc_hits: u()?,
+            llc_misses: u()?,
+            llc_tag_lookups: u()?,
+            llc_data_accesses: u()?,
+            llc_dir_accesses: u()?,
+            dir_lookups: u()?,
+            dir_allocs: u()?,
+            dir_evictions: u()?,
+            dev_invalidations: u()?,
+            dev_dirty_recalls: u()?,
+            inclusion_invalidations: u()?,
+            coherence_invalidations: u()?,
+            dir_spills: u()?,
+            dir_fuses: u()?,
+            dir_llc_evictions: u()?,
+            get_de_requests: u()?,
+            denf_nacks: u()?,
+            fused_read_forwards: u()?,
+            spilled_lines_current: u()?,
+            spilled_lines_max: u()?,
+            dir_live_entries: u()?,
+            dir_live_entries_max: u()?,
+            dram_reads: u()?,
+            dram_writes: u()?,
+            dram_writes_dir: u()?,
+            dram_reads_dir: u()?,
+            llc_read_misses_corrupted: u()?,
+            two_hop_reads: u()?,
+            three_hop_reads: u()?,
+            socket_misses: u()?,
+        })
     }
 
     /// Renders a compact multi-line summary for debugging and the examples.
@@ -422,6 +481,7 @@ mod tests {
 #[cfg(test)]
 mod breakdown_tests {
     use super::*;
+    use crate::msg::ALL_CLASSES;
 
     #[test]
     fn per_class_bytes_sum_to_total() {

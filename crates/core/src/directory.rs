@@ -57,11 +57,12 @@ impl DirEntry {
 
     /// Serializes the entry for checkpointing.
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
-        w.u8(match self.state {
+        let DirEntry { state, sharers } = self;
+        w.u8(match state {
             DirState::OwnedME => 0,
             DirState::Shared => 1,
         });
-        w.u128(self.sharers.0);
+        w.u128(sharers.0);
     }
 
     /// Decodes a [`DirEntry::snap`] image.

@@ -374,10 +374,15 @@ impl LlcBank {
     }
 
     /// Serializes the bank contents and port horizon for checkpointing.
-    // lint:allow(snapshot_complete(banks, bank_index), interleaving geometry is config-derived; restore targets a bank freshly built from the same configuration)
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
-        self.array.snapshot_with(w, |w, line| line.snap(w));
-        w.u64(self.port_free.0);
+        let LlcBank {
+            array,
+            banks: _,      // interleaving geometry is config-derived
+            bank_index: _, // interleaving geometry is config-derived
+            port_free,
+        } = self;
+        array.snapshot_with(w, |w, line| line.snap(w));
+        w.u64(port_free.0);
     }
 
     /// Restores a [`LlcBank::snap`] image into this bank, which must have
@@ -386,13 +391,18 @@ impl LlcBank {
     /// # Errors
     /// Fails with a structural [`zerodev_common::snap::SnapError`] on
     /// geometry mismatch or decode error.
-    // lint:allow(snapshot_complete(banks, bank_index), interleaving geometry is config-derived; restore targets a bank freshly built from the same configuration)
     pub fn unsnap(
         &mut self,
         r: &mut zerodev_common::snap::SnapReader<'_>,
     ) -> Result<(), zerodev_common::snap::SnapError> {
-        self.array.restore_with(r, LlcLine::unsnap)?;
-        self.port_free = Cycle(r.u64("llc port_free")?);
+        let LlcBank {
+            array,
+            banks: _,      // interleaving geometry is config-derived
+            bank_index: _, // interleaving geometry is config-derived
+            port_free,
+        } = self;
+        array.restore_with(r, LlcLine::unsnap)?;
+        *port_free = Cycle(r.u64("llc port_free")?);
         Ok(())
     }
 }

@@ -330,34 +330,44 @@ impl MemorySide {
     /// Serializes the memory side — DRAM timing state, corrupted-block map,
     /// socket-directory caches and backing stores, and the cache counters —
     /// for checkpointing.
-    // lint:allow(snapshot_complete(backing, sockets, cores, seg_format), machine shape and backing/segment policy come from SystemConfig; restore targets a memory side freshly built from it)
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
-        w.usize(self.drams.len());
-        for d in &self.drams {
+        fn socket_entry(w: &mut zerodev_common::snap::SnapWriter, e: &SocketDirEntry) {
+            let SocketDirEntry { owned, sharers } = e;
+            w.bool(*owned);
+            w.u32(sharers.0);
+        }
+        let MemorySide {
+            drams,
+            corrupted,
+            dir_caches,
+            dir_backing,
+            backing: _,    // backing policy comes from SystemConfig
+            sockets: _,    // machine shape comes from SystemConfig
+            cores: _,      // machine shape comes from SystemConfig
+            seg_format: _, // segment policy comes from SystemConfig
+            dir_cache_misses,
+            dir_cache_hits,
+        } = self;
+        w.usize(drams.len());
+        for d in drams {
             d.snap(w);
         }
-        self.corrupted.snapshot_with(w, |w, cb| {
-            w.usize(cb.segments.len());
-            for (sk, e) in &cb.segments {
+        corrupted.snapshot_with(w, |w, CorruptedBlock { segments }| {
+            w.usize(segments.len());
+            for (sk, e) in segments {
                 w.u8(sk.0);
                 e.snap(w);
             }
         });
-        w.usize(self.dir_caches.len());
-        for c in &self.dir_caches {
-            c.snapshot_with(w, |w, e| {
-                w.bool(e.owned);
-                w.u32(e.sharers.0);
-            });
+        w.usize(dir_caches.len());
+        for c in dir_caches {
+            c.snapshot_with(w, socket_entry);
         }
-        for b in &self.dir_backing {
-            b.snapshot_with(w, |w, e| {
-                w.bool(e.owned);
-                w.u32(e.sharers.0);
-            });
+        for b in dir_backing {
+            b.snapshot_with(w, socket_entry);
         }
-        w.u64(self.dir_cache_misses);
-        w.u64(self.dir_cache_hits);
+        w.u64(*dir_cache_misses);
+        w.u64(*dir_cache_hits);
     }
 
     /// Restores a [`MemorySide::snap`] image into this memory side, which
@@ -366,7 +376,6 @@ impl MemorySide {
     /// # Errors
     /// Fails with a structural [`zerodev_common::snap::SnapError`] on
     /// geometry mismatch or decode error.
-    // lint:allow(snapshot_complete(backing, sockets, cores, seg_format), machine shape and backing/segment policy come from SystemConfig; restore targets a memory side freshly built from it)
     pub fn unsnap(
         &mut self,
         r: &mut zerodev_common::snap::SnapReader<'_>,
@@ -380,36 +389,48 @@ impl MemorySide {
                 sharers: SocketSet(r.u32("socket dir sharers")?),
             })
         }
-        if r.usize("memdir dram count")? != self.drams.len() {
+        let MemorySide {
+            drams,
+            corrupted,
+            dir_caches,
+            dir_backing,
+            backing: _,    // backing policy comes from SystemConfig
+            sockets: _,    // machine shape comes from SystemConfig
+            cores: _,      // machine shape comes from SystemConfig
+            seg_format: _, // segment policy comes from SystemConfig
+            dir_cache_misses,
+            dir_cache_hits,
+        } = self;
+        if r.usize("memdir dram count")? != drams.len() {
             return Err(SnapError::Corrupt {
                 context: "memdir dram count",
             });
         }
-        for d in self.drams.iter_mut() {
+        for d in drams.iter_mut() {
             d.unsnap(r)?;
         }
-        self.corrupted = FlatMap::restore_with(r, |r| {
+        *corrupted = FlatMap::restore_with(r, |r| {
             let n = r.usize("corrupted segment count")?;
-            let mut cb = CorruptedBlock::default();
+            let mut segments = Vec::new();
             for _ in 0..n {
                 let sk = SocketId(r.u8("corrupted segment socket")?);
-                cb.segments.push((sk, DirEntry::unsnap(r)?));
+                segments.push((sk, DirEntry::unsnap(r)?));
             }
-            Ok(cb)
+            Ok(CorruptedBlock { segments })
         })?;
-        if r.usize("memdir dir cache count")? != self.dir_caches.len() {
+        if r.usize("memdir dir cache count")? != dir_caches.len() {
             return Err(SnapError::Corrupt {
                 context: "memdir dir cache count",
             });
         }
-        for c in self.dir_caches.iter_mut() {
+        for c in dir_caches.iter_mut() {
             c.restore_with(r, socket_entry)?;
         }
-        for b in self.dir_backing.iter_mut() {
+        for b in dir_backing.iter_mut() {
             *b = FlatMap::restore_with(r, socket_entry)?;
         }
-        self.dir_cache_misses = r.u64("memdir dir_cache_misses")?;
-        self.dir_cache_hits = r.u64("memdir dir_cache_hits")?;
+        *dir_cache_misses = r.u64("memdir dir_cache_misses")?;
+        *dir_cache_hits = r.u64("memdir dir_cache_hits")?;
         Ok(())
     }
 }

@@ -209,7 +209,12 @@ impl MultiGrainDir {
 
     /// Serializes the array and region counters for checkpointing.
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
-        self.array.snapshot_with(w, |w, e| match e {
+        let MultiGrainDir {
+            array,
+            region_allocs,
+            region_breakouts,
+        } = self;
+        array.snapshot_with(w, |w, e| match e {
             MgdEntry::Block(entry) => {
                 w.u8(0);
                 entry.snap(w);
@@ -220,8 +225,8 @@ impl MultiGrainDir {
                 w.u16(*presence);
             }
         });
-        w.u64(self.region_allocs);
-        w.u64(self.region_breakouts);
+        w.u64(*region_allocs);
+        w.u64(*region_breakouts);
     }
 
     /// Restores a [`MultiGrainDir::snap`] image into this directory, which
@@ -236,19 +241,23 @@ impl MultiGrainDir {
         r: &mut zerodev_common::snap::SnapReader<'_>,
     ) -> Result<(), zerodev_common::snap::SnapError> {
         use zerodev_common::snap::SnapError;
-        self.array
-            .restore_with(r, |r| match r.u8("mgd entry tag")? {
-                0 => Ok(MgdEntry::Block(DirEntry::unsnap(r)?)),
-                1 => Ok(MgdEntry::Region {
-                    owner: CoreId(r.u16("mgd region owner")?),
-                    presence: r.u16("mgd region presence")?,
-                }),
-                _ => Err(SnapError::Corrupt {
-                    context: "mgd entry tag",
-                }),
-            })?;
-        self.region_allocs = r.u64("mgd region_allocs")?;
-        self.region_breakouts = r.u64("mgd region_breakouts")?;
+        let MultiGrainDir {
+            array,
+            region_allocs,
+            region_breakouts,
+        } = self;
+        array.restore_with(r, |r| match r.u8("mgd entry tag")? {
+            0 => Ok(MgdEntry::Block(DirEntry::unsnap(r)?)),
+            1 => Ok(MgdEntry::Region {
+                owner: CoreId(r.u16("mgd region owner")?),
+                presence: r.u16("mgd region presence")?,
+            }),
+            _ => Err(SnapError::Corrupt {
+                context: "mgd entry tag",
+            }),
+        })?;
+        *region_allocs = r.u64("mgd region_allocs")?;
+        *region_breakouts = r.u64("mgd region_breakouts")?;
         Ok(())
     }
 }

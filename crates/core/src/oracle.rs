@@ -335,21 +335,30 @@ impl Oracle {
     /// the image is deterministic. The event ring buffer is diagnostics
     /// only and restores empty; the per-transaction stats snapshot is never
     /// live between transactions and restores to its default.
-    // lint:allow(snapshot_complete(sockets, zerodev, llc_design, exact, precise_dir), audit mode flags are config-derived; restore targets an oracle freshly built from the same configuration)
-    // lint:allow(snapshot_complete(log, snap), the event ring is diagnostics-only and restores empty; the per-transaction stats snapshot is never live between transactions)
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
-        w.u64(self.txns);
-        let mut blocks: Vec<BlockAddr> = self.shadow.iter().map(|(k, _)| BlockAddr(k)).collect();
+        let Oracle {
+            sockets: _,     // audit mode flag, config-derived
+            zerodev: _,     // audit mode flag, config-derived
+            llc_design: _,  // audit mode flag, config-derived
+            exact: _,       // audit mode flag, config-derived
+            precise_dir: _, // audit mode flag, config-derived
+            shadow,
+            log: _, // diagnostics only; restores empty
+            txns,
+            snap: _, // never live between transactions
+        } = self;
+        w.u64(*txns);
+        let mut blocks: Vec<BlockAddr> = shadow.iter().map(|(k, _)| BlockAddr(k)).collect();
         blocks.sort_unstable();
         w.usize(blocks.len());
         for b in blocks {
             w.u64(b.0);
-            let sb = self.shadow.get(b.0).expect("listed key");
-            w.usize(sb.holders.len());
-            for h in &sb.holders {
+            let ShadowBlock { holders, owner } = shadow.get(b.0).expect("listed key");
+            w.usize(holders.len());
+            for h in holders {
                 w.u128(h.0);
             }
-            match sb.owner {
+            match owner {
                 Some((s, c)) => {
                     w.bool(true);
                     w.u8(s.0);
@@ -371,13 +380,24 @@ impl Oracle {
         r: &mut zerodev_common::snap::SnapReader<'_>,
     ) -> Result<(), zerodev_common::snap::SnapError> {
         use zerodev_common::snap::SnapError;
-        self.txns = r.u64("oracle txns")?;
+        let Oracle {
+            sockets,
+            zerodev: _,     // audit mode flag, config-derived
+            llc_design: _,  // audit mode flag, config-derived
+            exact: _,       // audit mode flag, config-derived
+            precise_dir: _, // audit mode flag, config-derived
+            shadow,
+            log,
+            txns,
+            snap,
+        } = self;
+        *txns = r.u64("oracle txns")?;
         let n = r.usize("oracle shadow len")?;
-        let mut shadow = FlatMap::with_capacity(n);
+        let mut image = FlatMap::with_capacity(n);
         for _ in 0..n {
             let block = BlockAddr(r.u64("oracle shadow block")?);
             let holders_len = r.usize("oracle holders len")?;
-            if holders_len != self.sockets {
+            if holders_len != *sockets {
                 return Err(SnapError::Corrupt {
                     context: "oracle holders len",
                 });
@@ -394,11 +414,11 @@ impl Oracle {
             } else {
                 None
             };
-            shadow.insert(block.0, ShadowBlock { holders, owner });
+            image.insert(block.0, ShadowBlock { holders, owner });
         }
-        self.shadow = shadow;
-        self.log = EventLog::new(LOG_DEPTH);
-        self.snap = StatsSnap::default();
+        *shadow = image;
+        *log = EventLog::new(LOG_DEPTH);
+        *snap = StatsSnap::default();
         Ok(())
     }
 

@@ -246,19 +246,26 @@ impl SecDir {
     /// Serializes all partitions, the residency index, and the eviction
     /// counters for checkpointing.
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
-        self.shared.snapshot_with(w, |w, e| e.snap(w));
-        w.usize(self.private.len());
-        for part in &self.private {
-            part.snapshot_with(w, |w, p| w.bool(p.owned));
+        let SecDir {
+            shared,
+            private,
+            index,
+            private_evictions,
+            migrations,
+        } = self;
+        shared.snapshot_with(w, |w, e| e.snap(w));
+        w.usize(private.len());
+        for part in private {
+            part.snapshot_with(w, |w, PrivEntry { owned }| w.bool(*owned));
         }
-        self.index.snapshot_with(w, |w, res| {
+        index.snapshot_with(w, |w, res| {
             w.u8(match res {
                 Residency::Shared => 0,
                 Residency::Private => 1,
             });
         });
-        w.u64(self.private_evictions);
-        w.u64(self.migrations);
+        w.u64(*private_evictions);
+        w.u64(*migrations);
     }
 
     /// Restores a [`SecDir::snap`] image into this structure, which must
@@ -272,28 +279,35 @@ impl SecDir {
         r: &mut zerodev_common::snap::SnapReader<'_>,
     ) -> Result<(), zerodev_common::snap::SnapError> {
         use zerodev_common::snap::SnapError;
-        self.shared.restore_with(r, DirEntry::unsnap)?;
-        if r.usize("secdir partition count")? != self.private.len() {
+        let SecDir {
+            shared,
+            private,
+            index,
+            private_evictions,
+            migrations,
+        } = self;
+        shared.restore_with(r, DirEntry::unsnap)?;
+        if r.usize("secdir partition count")? != private.len() {
             return Err(SnapError::Corrupt {
                 context: "secdir partition count",
             });
         }
-        for part in self.private.iter_mut() {
+        for part in private.iter_mut() {
             part.restore_with(r, |r| {
                 Ok(PrivEntry {
                     owned: r.bool("secdir priv owned")?,
                 })
             })?;
         }
-        self.index = FlatMap::restore_with(r, |r| match r.u8("secdir residency")? {
+        *index = FlatMap::restore_with(r, |r| match r.u8("secdir residency")? {
             0 => Ok(Residency::Shared),
             1 => Ok(Residency::Private),
             _ => Err(SnapError::Corrupt {
                 context: "secdir residency",
             }),
         })?;
-        self.private_evictions = r.u64("secdir private_evictions")?;
-        self.migrations = r.u64("secdir migrations")?;
+        *private_evictions = r.u64("secdir private_evictions")?;
+        *migrations = r.u64("secdir migrations")?;
         Ok(())
     }
 }

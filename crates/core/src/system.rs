@@ -202,19 +202,26 @@ impl System {
     /// written lane-exact so deterministic state-fault victim selection
     /// ([`System::inject_state_fault`]) iterates identically after restore.
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
-        w.u64(Self::config_fingerprint(&self.cfg));
-        self.stats.snap(w);
-        w.usize(self.sockets.len());
-        for s in &self.sockets {
-            w.usize(s.banks.len());
-            for b in &s.banks {
+        let System {
+            cfg,
+            sockets,
+            mem,
+            stats,
+            oracle,
+        } = self;
+        w.u64(Self::config_fingerprint(cfg));
+        stats.snap(w);
+        w.usize(sockets.len());
+        for Socket { banks, dir, topo } in sockets {
+            w.usize(banks.len());
+            for b in banks {
                 b.snap(w);
             }
-            s.dir.snap(w);
-            s.topo.mesh().snap(w);
+            dir.snap(w);
+            topo.mesh().snap(w);
         }
-        self.mem.snap(w);
-        match &self.oracle {
+        mem.snap(w);
+        match oracle {
             Some(o) => {
                 w.bool(true);
                 o.snap(w);
@@ -235,40 +242,43 @@ impl System {
         r: &mut zerodev_common::snap::SnapReader<'_>,
     ) -> Result<(), zerodev_common::snap::SnapError> {
         use zerodev_common::snap::SnapError;
-        if r.u64("system config fingerprint")? != Self::config_fingerprint(&self.cfg) {
+        let System {
+            cfg,
+            sockets,
+            mem,
+            stats,
+            oracle,
+        } = self;
+        if r.u64("system config fingerprint")? != Self::config_fingerprint(cfg) {
             return Err(SnapError::Corrupt {
                 context: "system config fingerprint",
             });
         }
-        self.stats = Stats::unsnap(r)?;
-        if r.usize("system socket count")? != self.sockets.len() {
+        *stats = Stats::unsnap(r)?;
+        if r.usize("system socket count")? != sockets.len() {
             return Err(SnapError::Corrupt {
                 context: "system socket count",
             });
         }
-        for s in self.sockets.iter_mut() {
-            if r.usize("system bank count")? != s.banks.len() {
+        for Socket { banks, dir, topo } in sockets.iter_mut() {
+            if r.usize("system bank count")? != banks.len() {
                 return Err(SnapError::Corrupt {
                     context: "system bank count",
                 });
             }
-            for b in s.banks.iter_mut() {
+            for b in banks.iter_mut() {
                 b.unsnap(r)?;
             }
-            s.dir.unsnap(r)?;
-            s.topo.mesh_mut().unsnap(r)?;
+            dir.unsnap(r)?;
+            topo.mesh_mut().unsnap(r)?;
         }
-        self.mem.unsnap(r)?;
+        mem.unsnap(r)?;
         if r.bool("system audit flag")? {
-            if self.oracle.is_none() {
-                self.enable_audit();
-            }
-            self.oracle
-                .as_mut()
-                .expect("audit just enabled")
+            oracle
+                .get_or_insert_with(|| Box::new(crate::oracle::Oracle::new(cfg)))
                 .unsnap(r)?;
         } else {
-            self.oracle = None;
+            *oracle = None;
         }
         Ok(())
     }

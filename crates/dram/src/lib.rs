@@ -160,28 +160,38 @@ impl DramModel {
     /// Serializes the mutable memory-system state — open rows, bank/bus
     /// occupancy horizons, and the access counters — for checkpointing.
     /// Geometry and timing are rebuilt from configuration on restore.
-    // lint:allow(snapshot_complete(cfg), DRAM geometry and timing are configuration, not mutable state; restore targets a model built from the same config)
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
-        w.usize(self.channels.len());
-        for ch in &self.channels {
-            w.u64(ch.bus_free.0);
-            w.usize(ch.banks.len());
-            for b in &ch.banks {
-                match b.open_row {
+        let DramModel {
+            cfg: _, // geometry and timing are configuration
+            channels,
+            row_hits,
+            row_empty,
+            row_conflicts,
+            reads,
+            writes,
+        } = self;
+        w.usize(channels.len());
+        for Channel { banks, bus_free } in channels {
+            w.u64(bus_free.0);
+            w.usize(banks.len());
+            for Bank {
+                open_row,
+                busy_until,
+            } in banks
+            {
+                match open_row {
                     Some(row) => {
                         w.bool(true);
-                        w.u64(row);
+                        w.u64(*row);
                     }
                     None => w.bool(false),
                 }
-                w.u64(b.busy_until.0);
+                w.u64(busy_until.0);
             }
         }
-        w.u64(self.row_hits);
-        w.u64(self.row_empty);
-        w.u64(self.row_conflicts);
-        w.u64(self.reads);
-        w.u64(self.writes);
+        for v in [row_hits, row_empty, row_conflicts, reads, writes] {
+            w.u64(*v);
+        }
     }
 
     /// Restores a [`DramModel::snap`] image into this model, which must have
@@ -190,38 +200,50 @@ impl DramModel {
     /// # Errors
     /// Fails with a structural [`zerodev_common::snap::SnapError`] on
     /// geometry mismatch or decode error.
-    // lint:allow(snapshot_complete(cfg), DRAM geometry and timing are configuration, not mutable state; restore targets a model built from the same config)
     pub fn unsnap(
         &mut self,
         r: &mut zerodev_common::snap::SnapReader<'_>,
     ) -> Result<(), zerodev_common::snap::SnapError> {
         use zerodev_common::snap::SnapError;
-        if r.usize("dram channel count")? != self.channels.len() {
+        let DramModel {
+            cfg: _, // geometry and timing are configuration
+            channels,
+            row_hits,
+            row_empty,
+            row_conflicts,
+            reads,
+            writes,
+        } = self;
+        if r.usize("dram channel count")? != channels.len() {
             return Err(SnapError::Corrupt {
                 context: "dram channel count",
             });
         }
-        for ch in self.channels.iter_mut() {
-            ch.bus_free = Cycle(r.u64("dram bus_free")?);
-            if r.usize("dram bank count")? != ch.banks.len() {
+        for Channel { banks, bus_free } in channels.iter_mut() {
+            *bus_free = Cycle(r.u64("dram bus_free")?);
+            if r.usize("dram bank count")? != banks.len() {
                 return Err(SnapError::Corrupt {
                     context: "dram bank count",
                 });
             }
-            for b in ch.banks.iter_mut() {
-                b.open_row = if r.bool("dram open_row flag")? {
+            for Bank {
+                open_row,
+                busy_until,
+            } in banks.iter_mut()
+            {
+                *open_row = if r.bool("dram open_row flag")? {
                     Some(r.u64("dram open_row")?)
                 } else {
                     None
                 };
-                b.busy_until = Cycle(r.u64("dram busy_until")?);
+                *busy_until = Cycle(r.u64("dram busy_until")?);
             }
         }
-        self.row_hits = r.u64("dram row_hits")?;
-        self.row_empty = r.u64("dram row_empty")?;
-        self.row_conflicts = r.u64("dram row_conflicts")?;
-        self.reads = r.u64("dram reads")?;
-        self.writes = r.u64("dram writes")?;
+        *row_hits = r.u64("dram row_hits")?;
+        *row_empty = r.u64("dram row_empty")?;
+        *row_conflicts = r.u64("dram row_conflicts")?;
+        *reads = r.u64("dram reads")?;
+        *writes = r.u64("dram writes")?;
         Ok(())
     }
 }

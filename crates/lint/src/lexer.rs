@@ -1,7 +1,7 @@
 //! A minimal Rust lexer for the static-analysis passes.
 //!
 //! `syn` is deliberately not used: the workspace builds offline with zero
-//! external crates, and the three passes only need a token stream with
+//! external crates, and the two passes only need a token stream with
 //! comments preserved — identifiers, punctuation, and line comments, with
 //! string/char literals and block comments stripped (their contents must
 //! never look like code or waivers). The lexer also understands just enough

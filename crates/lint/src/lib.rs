@@ -1,17 +1,17 @@
 //! `zerodev-lint` — workspace static analysis for the ZeroDEV simulator.
 //!
-//! Three passes over a [`model::Workspace`] (a set of in-memory source
+//! Two passes over a [`model::Workspace`] (a set of in-memory source
 //! files, so tests can feed mutated sources):
 //!
 //! 1. [`determinism`] — deny ambient nondeterminism in the deterministic
 //!    crates (hash-randomized containers, wall clocks, raw threads,
 //!    OS randomness), with audited inline waivers.
-//! 2. [`snapshot`] — field-for-field coverage of every snapshotting
-//!    struct, so an unserialized new field fails CI instead of breaking
-//!    kill-and-resume byte-identity at soak time.
-//! 3. [`protocol_graph`] — extract the `MsgClass` consumes→emits graph
+//! 2. [`protocol_graph`] — extract the `MsgClass` consumes→emits graph
 //!    from the annotated flows and verify deadlock-freedom: vnet-monotone
 //!    edges, per-rank acyclicity, full producer/consumer coverage.
+//!
+//! Snapshot completeness is not a pass: every `snap`/`unsnap` destructures
+//! its state exhaustively, so rustc rejects a dropped field (DESIGN.md §9).
 //!
 //! Rule catalog, waiver grammar, and the audited `DenfNack → Request`
 //! retry edge are documented in DESIGN.md §12.
@@ -21,18 +21,16 @@ pub mod lexer;
 pub mod model;
 pub mod protocol_graph;
 pub mod report;
-pub mod snapshot;
 
 pub use model::{SourceFile, Workspace};
 pub use report::Report;
 
-/// Runs all three passes plus waiver accounting over `ws`.
+/// Runs both passes plus waiver accounting over `ws`.
 pub fn analyze(ws: &Workspace) -> Report {
     let p = model::Parsed::build(ws);
     let mut used = vec![false; p.waivers.len()];
     let mut findings = Vec::new();
     determinism::run(&p, &mut used, &mut findings);
-    snapshot::run(&p, &mut used, &mut findings);
     let graph = protocol_graph::run(&p, &mut used, &mut findings);
     let mut report = Report {
         findings,

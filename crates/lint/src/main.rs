@@ -1,7 +1,7 @@
 //! CLI: `zerodev-lint [--root DIR] [--json PATH] [--dot PATH]`
 //!
 //! Scans `crates/*/src/**/*.rs` under the workspace root (the lint crate
-//! itself excluded — its docs quote waiver syntax), runs the three
+//! itself excluded — its docs quote waiver syntax), runs the two
 //! analysis passes, prints a summary, and exits nonzero when any
 //! un-waived finding remains. `--json` / `--dot` write the machine
 //! artifacts CI uploads.

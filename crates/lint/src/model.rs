@@ -6,12 +6,12 @@
 //!
 //! ```text
 //! // lint:allow(<rule>, <reason>)
-//! // lint:allow(snapshot_complete(field_a, field_b), <reason>)
+//! // lint:allow(msg_no_producer(<Class>), <reason>)
 //! ```
 //!
 //! A waiver covers the line it sits on, the next code line below a
 //! contiguous comment block, or — for function-scoped rules such as
-//! `snapshot_complete` — the whole function it precedes or sits inside.
+//! `unrooted_emission` — the whole function it precedes or sits inside.
 //! Waivers without a reason, and waivers that suppress nothing, are
 //! findings themselves (`waiver_no_reason`, `waiver_unused`).
 
@@ -40,24 +40,14 @@ pub struct Workspace {
 pub struct Waiver {
     pub file: usize,
     pub line: u32,
-    /// Rule name (`nondeterministic_map`, `snapshot_complete`, …).
+    /// Rule name (`nondeterministic_map`, `msg_no_producer`, …).
     pub rule: String,
-    /// Optional rule arguments (`snapshot_complete(fx)` → `["fx"]`).
+    /// Optional rule arguments (`msg_no_producer(Fwd)` → `["Fwd"]`).
     pub args: Vec<String>,
     /// Justification text after the rule. Empty = `waiver_no_reason`.
     pub reason: String,
     /// First code line at or below the waiver (what it covers).
     pub covers_line: u32,
-}
-
-/// A named-field struct definition.
-#[derive(Clone, Debug)]
-pub struct StructDef {
-    pub file: usize,
-    pub name: String,
-    pub line: u32,
-    /// Field `(name, line)` pairs, declaration order.
-    pub fields: Vec<(String, u32)>,
 }
 
 /// A function parsed out of an `impl` block (or free-standing).
@@ -86,7 +76,6 @@ pub struct ParsedFile {
 pub struct Parsed {
     pub files: Vec<ParsedFile>,
     pub waivers: Vec<Waiver>,
-    pub structs: Vec<StructDef>,
     pub fns: Vec<FnDef>,
 }
 
@@ -108,7 +97,6 @@ impl Parsed {
         for (fi, src) in ws.files.iter().enumerate() {
             let toks = lexer::strip_test_modules(&lexer::lex(&src.text));
             p.collect_waivers(fi, &toks);
-            collect_structs(fi, &toks, &mut p.structs);
             collect_fns(fi, &toks, &mut p.fns);
             p.files.push(ParsedFile {
                 src: src.clone(),
@@ -204,7 +192,7 @@ fn split_waiver(rest: &str) -> (String, String) {
     )
 }
 
-/// Splits `snapshot_complete(fx, log)` → (`snapshot_complete`, `[fx, log]`).
+/// Splits `msg_no_producer(Fwd, Inv)` → (`msg_no_producer`, `[Fwd, Inv]`).
 fn split_rule_args(rule_part: &str) -> (String, Vec<String>) {
     match rule_part.split_once('(') {
         None => (rule_part.to_string(), Vec::new()),
@@ -218,100 +206,6 @@ fn split_rule_args(rule_part: &str) -> (String, Vec<String>) {
             (name.trim().to_string(), args)
         }
     }
-}
-
-fn collect_structs(file: usize, toks: &[Spanned], out: &mut Vec<StructDef>) {
-    let code: Vec<(usize, &Spanned)> = toks
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| !matches!(s.tok, Tok::Comment(_)))
-        .collect();
-    let mut i = 0usize;
-    while i < code.len() {
-        let (_, s) = code[i];
-        if s.tok != Tok::Ident("struct".into()) {
-            i += 1;
-            continue;
-        }
-        let Some(&(_, name_tok)) = code.get(i + 1) else {
-            break;
-        };
-        let Tok::Ident(name) = &name_tok.tok else {
-            i += 1;
-            continue;
-        };
-        // Scan forward for `{` (named fields), `(` (tuple — skip), or `;`
-        // (unit — skip), tolerating generics and where clauses.
-        let mut j = i + 2;
-        let mut angle = 0i32;
-        let mut body_open: Option<usize> = None;
-        while let Some(&(ti, t)) = code.get(j) {
-            match &t.tok {
-                Tok::Punct('<') => angle += 1,
-                Tok::Punct('>') => angle -= 1,
-                Tok::Punct('(') if angle == 0 => break, // tuple struct
-                Tok::Punct(';') if angle == 0 => break, // unit struct
-                Tok::Punct('{') if angle == 0 => {
-                    body_open = Some(ti);
-                    break;
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        let Some(open) = body_open else {
-            i += 1;
-            continue;
-        };
-        let close = lexer::matching_brace(toks, open);
-        let mut fields = Vec::new();
-        // A field name is an ident directly followed by `:` at depth 1
-        // (skipping attribute brackets and generic payloads).
-        let mut depth = 0i32;
-        let mut k = open;
-        while k < close {
-            match &toks[k].tok {
-                Tok::Punct('{') | Tok::Punct('(') | Tok::Punct('[') | Tok::Punct('<') => depth += 1,
-                Tok::Punct('}') | Tok::Punct(')') | Tok::Punct(']') | Tok::Punct('>') => depth -= 1,
-                Tok::Ident(id) if depth == 1 => {
-                    let next_code = toks[k + 1..close]
-                        .iter()
-                        .find(|t| !matches!(t.tok, Tok::Comment(_)));
-                    let prev_ok = !matches!(
-                        prev_code(toks, k).map(|t| &t.tok),
-                        Some(Tok::Punct(':')) | Some(Tok::Punct('<'))
-                    );
-                    if prev_ok
-                        && next_code.map(|t| &t.tok) == Some(&Tok::Punct(':'))
-                        && toks.get(k + 2).map(|t| &t.tok) != Some(&Tok::Punct(':'))
-                        && id != "pub"
-                        && id != "crate"
-                    {
-                        fields.push((id.clone(), toks[k].line));
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        // `Type: bound` pairs inside generics sit at depth ≥ 2, and
-        // `path::seg` is rejected by the double-colon check above, so the
-        // depth-1 `ident:` survivors are exactly the named fields.
-        out.push(StructDef {
-            file,
-            name: name.clone(),
-            line: name_tok.line,
-            fields,
-        });
-        i += 1;
-    }
-}
-
-fn prev_code(toks: &[Spanned], k: usize) -> Option<&Spanned> {
-    toks[..k]
-        .iter()
-        .rev()
-        .find(|t| !matches!(t.tok, Tok::Comment(_)))
 }
 
 fn collect_fns(file: usize, toks: &[Spanned], out: &mut Vec<FnDef>) {
@@ -455,20 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn struct_fields_are_extracted() {
-        let p = parse_one(
-            "pub struct Foo<T: Clone> where T: Copy {\n    pub a: u64,\n    b: Vec<(u8, u8)>,\n    pub(crate) c: T,\n}\nstruct Unit;\nstruct Tup(u64);",
-        );
-        assert_eq!(p.structs.len(), 1);
-        let f: Vec<_> = p.structs[0]
-            .fields
-            .iter()
-            .map(|(n, _)| n.as_str())
-            .collect();
-        assert_eq!(f, vec!["a", "b", "c"]);
-    }
-
-    #[test]
     fn impl_fns_are_attributed() {
         let p = parse_one(
             "impl Foo { fn snap(&self) { self.a; } }\nimpl fmt::Display for Bar { fn fmt(&self) {} }\nfn free() {}",
@@ -486,12 +366,12 @@ mod tests {
     #[test]
     fn waivers_parse_rule_args_and_reason() {
         let p = parse_one(
-            "// lint:allow(snapshot_complete(fx, log), empty at pause boundaries)\nfn x() {}\n// lint:allow(wall_clock)\nlet t = 1;",
+            "// lint:allow(msg_no_producer(Fwd, Inv), produced by the home agent)\nfn x() {}\n// lint:allow(wall_clock)\nlet t = 1;",
         );
         assert_eq!(p.waivers.len(), 2);
-        assert_eq!(p.waivers[0].rule, "snapshot_complete");
-        assert_eq!(p.waivers[0].args, vec!["fx", "log"]);
-        assert_eq!(p.waivers[0].reason, "empty at pause boundaries");
+        assert_eq!(p.waivers[0].rule, "msg_no_producer");
+        assert_eq!(p.waivers[0].args, vec!["Fwd", "Inv"]);
+        assert_eq!(p.waivers[0].reason, "produced by the home agent");
         assert_eq!(p.waivers[0].covers_line, 2);
         assert_eq!(p.waivers[1].rule, "wall_clock");
         assert!(p.waivers[1].reason.is_empty());

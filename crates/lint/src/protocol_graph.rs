@@ -1,4 +1,4 @@
-//! Pass 3: protocol message-dependency (deadlock) analysis.
+//! Pass 2: protocol message-dependency (deadlock) analysis.
 //!
 //! Phase-priority directory coherence (PAPERS.md) reduces deadlock freedom
 //! to acyclicity of the message-*class* dependency graph: if serving a

@@ -7,12 +7,11 @@ use crate::model::{Finding, Parsed};
 use crate::protocol_graph::Graph;
 
 /// Every rule the analyzer can report, in display order.
-pub const ALL_RULES: [&str; 11] = [
+pub const ALL_RULES: [&str; 10] = [
     "nondeterministic_map",
     "wall_clock",
     "thread_spawn",
     "ambient_randomness",
-    "snapshot_complete",
     "msg_class_cycle",
     "msg_no_producer",
     "msg_no_consumer",
@@ -187,7 +186,7 @@ impl Report {
     /// GraphViz rendering of the message-class graph, ranks as clusters.
     pub fn to_dot(&self) -> String {
         let mut s = String::from(
-            "// MsgClass consumes->emits dependency graph (zerodev-lint pass 3).\n\
+            "// MsgClass consumes->emits dependency graph (zerodev-lint pass 2).\n\
              // Solid: vnet-monotone edge. Bold red: audited descent (DenfNack retry).\n\
              // Dashed: self-edge (same-VN hop / ingress accounting), exempt from cycle checks.\n\
              digraph msg_classes {\n  rankdir=LR;\n  node [shape=box, fontname=\"monospace\"];\n",

@@ -77,18 +77,6 @@ fn determinism_rules_ignore_non_deterministic_crates() {
 }
 
 #[test]
-fn snapshot_complete_fires_once() {
-    let r = run_fixture("core", include_str!("fixtures/snapshot_complete.rs"), false);
-    assert_eq!(count(&r, "snapshot_complete"), 1, "{:?}", r.findings);
-    let f = r
-        .findings
-        .iter()
-        .find(|f| f.rule == "snapshot_complete")
-        .unwrap();
-    assert!(f.message.contains("`b`"), "wrong field: {}", f.message);
-}
-
-#[test]
 fn msg_class_cycle_fires_once() {
     let r = run_fixture("core", include_str!("fixtures/msg_class_cycle.rs"), true);
     assert_eq!(count(&r, "msg_class_cycle"), 1, "{:?}", r.findings);

@@ -111,23 +111,35 @@ impl Mesh {
 
     /// Serializes the mutable mesh state (the load counters — geometry and
     /// timing are rebuilt from configuration) for checkpointing.
-    // lint:allow(snapshot_complete(cols, rows, cfg), mesh geometry and link timing are configuration; only the load counters are mutable)
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
-        w.u64(self.byte_hops);
-        w.u64(self.messages);
+        let Mesh {
+            cols: _, // mesh geometry is configuration
+            rows: _, // mesh geometry is configuration
+            cfg: _,  // link timing is configuration
+            byte_hops,
+            messages,
+        } = self;
+        w.u64(*byte_hops);
+        w.u64(*messages);
     }
 
     /// Restores a [`Mesh::snap`] image into this mesh.
     ///
     /// # Errors
     /// Propagates decode errors from the snapshot reader.
-    // lint:allow(snapshot_complete(cols, rows, cfg), mesh geometry and link timing are configuration; only the load counters are mutable)
     pub fn unsnap(
         &mut self,
         r: &mut zerodev_common::snap::SnapReader<'_>,
     ) -> Result<(), zerodev_common::snap::SnapError> {
-        self.byte_hops = r.u64("mesh byte_hops")?;
-        self.messages = r.u64("mesh messages")?;
+        let Mesh {
+            cols: _, // mesh geometry is configuration
+            rows: _, // mesh geometry is configuration
+            cfg: _,  // link timing is configuration
+            byte_hops,
+            messages,
+        } = self;
+        *byte_hops = r.u64("mesh byte_hops")?;
+        *messages = r.u64("mesh messages")?;
         Ok(())
     }
 }

@@ -37,19 +37,30 @@ impl PausedRun {
     /// watchdog tuning, workload generators (PRNG streams and cursors),
     /// the full machine (caches, directories, DRAM, oracle shadow), every
     /// core's private hierarchy, the fault plan, and the event-loop state.
-    // lint:allow(snapshot_complete(fx), reusable effects buffer; empty at every pause boundary (each step clears then drains it))
     pub fn checkpoint(&self) -> Vec<u8> {
+        let PausedRun {
+            sim:
+                Simulation {
+                    sys,
+                    cores,
+                    workload,
+                    faults,
+                    watchdog,
+                },
+            st,
+            refs_per_core,
+            fx: _, // reusable effects buffer; empty at every pause boundary
+        } = self;
         let mut w = SnapWriter::new(MAGIC, VERSION);
-        w.u64(self.refs_per_core);
-        let (sim, st) = (&self.sim, &self.st);
-        sim.watchdog().snap(&mut w);
-        sim.workload().snap(&mut w);
-        sim.system().snap(&mut w);
-        w.usize(sim.cores().len());
-        for core in sim.cores() {
+        w.u64(*refs_per_core);
+        watchdog.snap(&mut w);
+        workload.snap(&mut w);
+        sys.snap(&mut w);
+        w.usize(cores.len());
+        for core in cores {
             core.snap(&mut w);
         }
-        match sim.faults() {
+        match faults {
             None => w.bool(false),
             Some(plan) => {
                 w.bool(true);
@@ -78,25 +89,40 @@ impl PausedRun {
                 context: "workload thread count does not match the machine",
             });
         }
-        let mut sim = Simulation::new(cfg, workload);
-        sim.set_watchdog_raw(watchdog);
-        sim.system_mut().unsnap(&mut r)?;
+        // The machine and cores are built from `cfg`, then lane-restored;
+        // the fault plan and watchdog come from the image.
+        let Simulation {
+            mut sys,
+            mut cores,
+            workload,
+            faults: _,
+            watchdog: _,
+        } = Simulation::new(cfg, workload);
+        sys.unsnap(&mut r)?;
         let n = r.usize("checkpoint core count")?;
-        if n != sim.cores().len() {
+        if n != cores.len() {
             return Err(SnapError::Corrupt {
                 context: "core count does not match the machine",
             });
         }
-        for core in sim.cores_mut() {
+        for core in &mut cores {
             core.unsnap(&mut r)?;
         }
-        if r.bool("checkpoint faults flag")? {
-            sim.set_fault_plan(FaultPlan::unsnap(&mut r)?);
-        }
+        let faults = if r.bool("checkpoint faults flag")? {
+            Some(Box::new(FaultPlan::unsnap(&mut r)?))
+        } else {
+            None
+        };
         let st = EngineState::unsnap(&mut r, n)?;
         r.expect_end()?;
         Ok(PausedRun {
-            sim,
+            sim: Simulation {
+                sys,
+                cores,
+                workload,
+                faults,
+                watchdog,
+            },
             st,
             refs_per_core,
             fx: AccessEffects::default(),

@@ -106,11 +106,19 @@ impl CoreModel {
     /// Serializes the private hierarchy lane-exactly for checkpointing
     /// (ids and hit latencies are config-derived and rebuilt by
     /// [`Self::new`], not stored).
-    // lint:allow(snapshot_complete(socket, core, l1_hit, l2_hit), ids and hit latencies are config-derived and rebuilt by CoreModel::new)
     pub(crate) fn snap(&self, w: &mut SnapWriter) {
-        self.l1i.snapshot_with(w, |_, ()| {});
-        self.l1d.snapshot_with(w, |_, ()| {});
-        self.l2.snapshot_with(w, |w, l| w.u8(mesi_tag(l.state)));
+        let CoreModel {
+            socket: _, // id, rebuilt by `CoreModel::new`
+            core: _,   // id, rebuilt by `CoreModel::new`
+            l1i,
+            l1d,
+            l2,
+            l1_hit: _, // hit latency, config-derived
+            l2_hit: _, // hit latency, config-derived
+        } = self;
+        l1i.snapshot_with(w, |_, ()| {});
+        l1d.snapshot_with(w, |_, ()| {});
+        l2.snapshot_with(w, |w, L2Line { state }| w.u8(mesi_tag(*state)));
     }
 
     /// Restores a [`Self::snap`] image into this freshly built hierarchy.
@@ -118,11 +126,19 @@ impl CoreModel {
     /// # Errors
     /// Fails with a decode [`SnapError`] on geometry mismatch or corrupt
     /// input.
-    // lint:allow(snapshot_complete(socket, core, l1_hit, l2_hit), ids and hit latencies are config-derived and rebuilt by CoreModel::new)
     pub(crate) fn unsnap(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.l1i.restore_with(r, |_| Ok(()))?;
-        self.l1d.restore_with(r, |_| Ok(()))?;
-        self.l2.restore_with(r, |r| {
+        let CoreModel {
+            socket: _, // id, rebuilt by `CoreModel::new`
+            core: _,   // id, rebuilt by `CoreModel::new`
+            l1i,
+            l1d,
+            l2,
+            l1_hit: _, // hit latency, config-derived
+            l2_hit: _, // hit latency, config-derived
+        } = self;
+        l1i.restore_with(r, |_| Ok(()))?;
+        l1d.restore_with(r, |_| Ok(()))?;
+        l2.restore_with(r, |r| {
             Ok(L2Line {
                 state: mesi_from_tag(r.u8("l2 line state")?)?,
             })

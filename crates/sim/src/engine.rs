@@ -70,8 +70,9 @@ impl Watchdog {
 
     /// Serializes the knobs for checkpointing.
     pub(crate) fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.horizon);
-        w.u64(self.period);
+        let Watchdog { horizon, period } = self;
+        w.u64(*horizon);
+        w.u64(*period);
     }
 
     /// Inverse of [`Self::snap`].
@@ -160,8 +161,9 @@ impl EventQueue {
     /// layout (not just its contents) is captured: sift order after resume
     /// must match an uninterrupted run event-for-event.
     pub(crate) fn snap(&self, w: &mut SnapWriter) {
-        w.usize(self.keys.len());
-        for &k in &self.keys {
+        let EventQueue { keys } = self;
+        w.usize(keys.len());
+        for &k in keys {
             w.u128(k);
         }
     }
@@ -314,14 +316,14 @@ impl PrivateCaches for CoreSink<'_> {
 /// workload's reference generators.
 #[derive(Debug)]
 pub struct Simulation {
-    sys: System,
-    cores: Vec<CoreModel>,
-    workload: Workload,
+    pub(crate) sys: System,
+    pub(crate) cores: Vec<CoreModel>,
+    pub(crate) workload: Workload,
     /// Deterministic fault plan; `None` (the default) is zero-cost-off.
-    faults: Option<Box<FaultPlan>>,
+    pub(crate) faults: Option<Box<FaultPlan>>,
     /// Forward-progress watchdog tuning (defaults match the historical
     /// constants, so untouched runs are byte-identical).
-    watchdog: Watchdog,
+    pub(crate) watchdog: Watchdog,
 }
 
 impl Simulation {
@@ -383,46 +385,6 @@ impl Simulation {
     /// Read access to the protocol engine (diagnostics).
     pub fn system(&self) -> &System {
         &self.sys
-    }
-
-    /// Mutable engine access for checkpoint restoration.
-    pub(crate) fn system_mut(&mut self) -> &mut System {
-        &mut self.sys
-    }
-
-    /// The core models (checkpoint serialization).
-    pub(crate) fn cores(&self) -> &[CoreModel] {
-        &self.cores
-    }
-
-    /// Mutable core models for checkpoint restoration.
-    pub(crate) fn cores_mut(&mut self) -> &mut [CoreModel] {
-        &mut self.cores
-    }
-
-    /// The workload generators (checkpoint serialization).
-    pub(crate) fn workload(&self) -> &Workload {
-        &self.workload
-    }
-
-    /// The fault plan, if armed (checkpoint serialization).
-    pub(crate) fn faults(&self) -> Option<&FaultPlan> {
-        self.faults.as_deref()
-    }
-
-    /// Installs an already-built fault plan (checkpoint restoration).
-    pub(crate) fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.faults = Some(Box::new(plan));
-    }
-
-    /// The watchdog tuning (checkpoint serialization).
-    pub(crate) fn watchdog(&self) -> Watchdog {
-        self.watchdog
-    }
-
-    /// Installs watchdog tuning verbatim (checkpoint restoration).
-    pub(crate) fn set_watchdog_raw(&mut self, wd: Watchdog) {
-        self.watchdog = wd;
     }
 
     /// Turns on the coherence-invariant oracle (`zerodev_core::oracle`):
@@ -636,20 +598,24 @@ impl EngineState {
 
     /// Serializes the loop state for checkpointing.
     pub(crate) fn snap(&self, w: &mut SnapWriter) {
-        self.queue.snap(w);
-        for lane in [
-            &self.refs_done,
-            &self.instrs,
-            &self.core_cycles,
-            &self.core_instrs,
-            &self.last_retire,
-        ] {
-            for &v in lane.iter() {
+        let EngineState {
+            queue,
+            refs_done,
+            instrs,
+            core_cycles,
+            core_instrs,
+            finished,
+            last_retire,
+            pops,
+        } = self;
+        queue.snap(w);
+        for lane in [refs_done, instrs, core_cycles, core_instrs, last_retire] {
+            for &v in lane {
                 w.u64(v);
             }
         }
-        w.usize(self.finished);
-        w.u64(self.pops);
+        w.usize(*finished);
+        w.u64(*pops);
     }
 
     /// Inverse of [`Self::snap`]; `cores` is the machine's core count.

@@ -314,45 +314,76 @@ impl FaultPlan {
     /// corruption, and accumulated stats — for checkpointing. A restored
     /// plan continues the exact fault sequence of the original.
     pub fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.cfg.seed);
-        w.u32(self.cfg.nack_ppm);
-        w.u32(self.cfg.nack_len);
-        w.u32(self.cfg.retry_budget);
-        w.u64(self.cfg.backoff_base);
-        w.u64(self.cfg.backoff_cap);
-        w.u32(self.cfg.delay_ppm);
-        w.u64(self.cfg.delay_cycles);
-        w.u32(self.cfg.dup_ppm);
-        match self.cfg.corrupt {
+        let FaultPlan {
+            cfg:
+                FaultConfig {
+                    seed,
+                    nack_ppm,
+                    nack_len,
+                    retry_budget,
+                    backoff_base,
+                    backoff_cap,
+                    delay_ppm,
+                    delay_cycles,
+                    dup_ppm,
+                    corrupt,
+                },
+            rng,
+            accesses,
+            armed,
+            stats:
+                FaultStats {
+                    nack_storms,
+                    nacks,
+                    backoff_cycles,
+                    delayed,
+                    delay_cycles: delayed_cycles,
+                    duplicates,
+                    duplicates_stale,
+                    corruptions,
+                    phantom_noc_cycles,
+                    injected,
+                },
+        } = self;
+        w.u64(*seed);
+        w.u32(*nack_ppm);
+        w.u32(*nack_len);
+        w.u32(*retry_budget);
+        w.u64(*backoff_base);
+        w.u64(*backoff_cap);
+        w.u32(*delay_ppm);
+        w.u64(*delay_cycles);
+        w.u32(*dup_ppm);
+        match corrupt {
             None => w.bool(false),
             Some((kind, at)) => {
                 w.bool(true);
-                w.u8(fault_tag(kind));
-                w.u64(at);
+                w.u8(fault_tag(*kind));
+                w.u64(*at);
             }
         }
-        for s in self.rng.state() {
+        for s in rng.state() {
             w.u64(s);
         }
-        w.u64(self.accesses);
-        match self.armed {
+        w.u64(*accesses);
+        match armed {
             None => w.bool(false),
             Some(kind) => {
                 w.bool(true);
-                w.u8(fault_tag(kind));
+                w.u8(fault_tag(*kind));
             }
         }
-        w.u64(self.stats.nack_storms);
-        w.u64(self.stats.nacks);
-        w.u64(self.stats.backoff_cycles);
-        w.u64(self.stats.delayed);
-        w.u64(self.stats.delay_cycles);
-        w.u64(self.stats.duplicates);
-        w.u64(self.stats.duplicates_stale);
-        w.u64(self.stats.corruptions);
-        w.u64(self.stats.phantom_noc_cycles);
-        w.usize(self.stats.injected.len());
-        for desc in &self.stats.injected {
+        w.u64(*nack_storms);
+        w.u64(*nacks);
+        w.u64(*backoff_cycles);
+        w.u64(*delayed);
+        w.u64(*delayed_cycles);
+        w.u64(*duplicates);
+        w.u64(*duplicates_stale);
+        w.u64(*corruptions);
+        w.u64(*phantom_noc_cycles);
+        w.usize(injected.len());
+        for desc in injected {
             w.str(desc);
         }
     }
@@ -362,7 +393,7 @@ impl FaultPlan {
     /// # Errors
     /// Fails with a decode [`SnapError`] on truncated or corrupt input.
     pub fn unsnap(r: &mut SnapReader) -> Result<FaultPlan, SnapError> {
-        let mut cfg = FaultConfig {
+        let cfg = FaultConfig {
             seed: r.u64("fault seed")?,
             nack_ppm: r.u32("fault nack ppm")?,
             nack_len: r.u32("fault nack len")?,
@@ -372,12 +403,14 @@ impl FaultPlan {
             delay_ppm: r.u32("fault delay ppm")?,
             delay_cycles: r.u64("fault delay cycles")?,
             dup_ppm: r.u32("fault dup ppm")?,
-            corrupt: None,
+            corrupt: r
+                .bool("fault corrupt flag")?
+                .then(|| {
+                    let kind = fault_from_tag(r.u8("fault corrupt kind")?)?;
+                    Ok((kind, r.u64("fault corrupt index")?))
+                })
+                .transpose()?,
         };
-        if r.bool("fault corrupt flag")? {
-            let kind = fault_from_tag(r.u8("fault corrupt kind")?)?;
-            cfg.corrupt = Some((kind, r.u64("fault corrupt index")?));
-        }
         let rng = Prng::from_state([
             r.u64("fault rng state")?,
             r.u64("fault rng state")?,
@@ -389,7 +422,7 @@ impl FaultPlan {
             .bool("fault armed flag")?
             .then(|| fault_from_tag(r.u8("fault armed kind")?))
             .transpose()?;
-        let mut stats = FaultStats {
+        let stats = FaultStats {
             nack_storms: r.u64("fault stat")?,
             nacks: r.u64("fault stat")?,
             backoff_cycles: r.u64("fault stat")?,
@@ -399,14 +432,10 @@ impl FaultPlan {
             duplicates_stale: r.u64("fault stat")?,
             corruptions: r.u64("fault stat")?,
             phantom_noc_cycles: r.u64("fault stat")?,
-            injected: Vec::new(),
+            injected: (0..r.usize("fault injected count")?)
+                .map(|_| r.str("fault injected desc").map(str::to_owned))
+                .collect::<Result<_, _>>()?,
         };
-        let n = r.usize("fault injected count")?;
-        for _ in 0..n {
-            stats
-                .injected
-                .push(r.str("fault injected desc")?.to_owned());
-        }
         Ok(FaultPlan {
             cfg,
             rng,

@@ -21,10 +21,16 @@ pub struct MemRef {
 impl MemRef {
     /// Serializes the reference for checkpointing.
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
-        w.u64(self.block.0);
-        w.bool(self.write);
-        w.bool(self.code);
-        w.u32(self.gap);
+        let MemRef {
+            block,
+            write,
+            code,
+            gap,
+        } = self;
+        w.u64(block.0);
+        w.bool(*write);
+        w.bool(*code);
+        w.u32(*gap);
     }
 
     /// Decodes a [`MemRef::snap`] image.
@@ -87,19 +93,31 @@ pub struct ThreadGen {
 
 impl ThreadGen {
     fn new(spec: WorkloadSpec, bases: Bases, rng: Prng) -> Self {
+        let (z_priv, z_sro, z_srw, z_code) = Self::samplers(&spec);
         ThreadGen {
             spec,
             bases,
             rng,
-            z_priv: Zipf::new(spec.priv_blocks.max(1), spec.priv_theta),
-            z_sro: (spec.sro_blocks > 0).then(|| Zipf::new(spec.sro_blocks, 0.4)),
-            z_srw: (spec.srw_blocks > 0).then(|| Zipf::new(spec.srw_blocks, 0.3)),
-            z_code: (spec.code_blocks > 0).then(|| Zipf::new(spec.code_blocks, 0.4)),
+            z_priv,
+            z_sro,
+            z_srw,
+            z_code,
             walk: 0,
             tstep: 0,
             lane: (0, 1),
             replay: None,
         }
+    }
+
+    /// The private, shared read-only, shared read-write and code Zipf
+    /// samplers: pure functions of the spec.
+    fn samplers(spec: &WorkloadSpec) -> (Zipf, Option<Zipf>, Option<Zipf>, Option<Zipf>) {
+        (
+            Zipf::new(spec.priv_blocks.max(1), spec.priv_theta),
+            (spec.sro_blocks > 0).then(|| Zipf::new(spec.sro_blocks, 0.4)),
+            (spec.srw_blocks > 0).then(|| Zipf::new(spec.srw_blocks, 0.3)),
+            (spec.code_blocks > 0).then(|| Zipf::new(spec.code_blocks, 0.4)),
+        )
     }
 
     fn with_lane(mut self, index: usize, count: usize) -> Self {
@@ -210,10 +228,28 @@ impl ThreadGen {
     /// parameter vector is re-derived via [`lookup`] on restore), region
     /// bases, PRNG state, walk/torture cursors, lane, and — for replay
     /// generators — the full recorded stream and position.
-    // lint:allow(snapshot_complete(z_priv, z_sro, z_srw, z_code), Zipf samplers are pure functions of the spec, re-derived from the serialized spec name on restore)
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
-        w.str(self.spec.name);
-        match &self.replay {
+        let ThreadGen {
+            spec,
+            bases:
+                Bases {
+                    code,
+                    sro,
+                    srw,
+                    private,
+                },
+            rng,
+            z_priv: _, // Zipf sampler, re-derived from the spec name
+            z_sro: _,  // Zipf sampler, re-derived from the spec name
+            z_srw: _,  // Zipf sampler, re-derived from the spec name
+            z_code: _, // Zipf sampler, re-derived from the spec name
+            walk,
+            tstep,
+            lane,
+            replay,
+        } = self;
+        w.str(spec.name);
+        match replay {
             Some((refs, pos)) => {
                 w.bool(true);
                 w.usize(refs.len());
@@ -224,17 +260,16 @@ impl ThreadGen {
             }
             None => w.bool(false),
         }
-        w.u64(self.bases.code);
-        w.u64(self.bases.sro);
-        w.u64(self.bases.srw);
-        w.u64(self.bases.private);
-        for s in self.rng.state() {
+        for v in [code, sro, srw, private] {
+            w.u64(*v);
+        }
+        for s in rng.state() {
             w.u64(s);
         }
-        w.u64(self.walk);
-        w.u64(self.tstep);
-        w.u32(self.lane.0);
-        w.u32(self.lane.1);
+        w.u64(*walk);
+        w.u64(*tstep);
+        w.u32(lane.0);
+        w.u32(lane.1);
     }
 
     /// Decodes a [`ThreadGen::snap`] image. Zipf samplers are rebuilt from
@@ -286,12 +321,20 @@ impl ThreadGen {
         for s in state.iter_mut() {
             *s = r.u64("threadgen rng state")?;
         }
-        let mut g = ThreadGen::new(spec, bases, Prng::from_state(state));
-        g.walk = r.u64("threadgen walk")?;
-        g.tstep = r.u64("threadgen tstep")?;
-        g.lane = (r.u32("threadgen lane")?, r.u32("threadgen lanes")?);
-        g.replay = replay;
-        Ok(g)
+        let (z_priv, z_sro, z_srw, z_code) = Self::samplers(&spec);
+        Ok(ThreadGen {
+            spec,
+            bases,
+            rng: Prng::from_state(state),
+            z_priv,
+            z_sro,
+            z_srw,
+            z_code,
+            walk: r.u64("threadgen walk")?,
+            tstep: r.u64("threadgen tstep")?,
+            lane: (r.u32("threadgen lane")?, r.u32("threadgen lanes")?),
+            replay,
+        })
     }
 }
 
@@ -323,13 +366,18 @@ impl Workload {
     /// Serializes the workload (name, kind, every generator) for
     /// checkpointing.
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
-        w.str(&self.name);
-        w.u8(match self.kind {
+        let Workload {
+            name,
+            kind,
+            threads,
+        } = self;
+        w.str(name);
+        w.u8(match kind {
             WorkloadKind::MultiThreaded => 0,
             WorkloadKind::MultiProgrammed => 1,
         });
-        w.usize(self.threads.len());
-        for t in &self.threads {
+        w.usize(threads.len());
+        for t in threads {
             t.snap(w);
         }
     }
