@@ -9,28 +9,17 @@
 //! later figure that needs it gets a cache hit; the sweep-throughput
 //! summary at the end reports how much work that saved.
 //!
-//! Set `ZERODEV_BENCH_JSON=<path>` to additionally write a `BENCH_<pr>.json`
-//! throughput report there (see `zerodev_bench::report`): full-run
-//! cycles/s and refs/s, per-figure wall times, the memo hit rate, and the
-//! standardized gate probe the CI perf gate compares across commits. The
-//! report number comes from `ZERODEV_BENCH_PR` (default 0). Everything the
-//! report adds goes to the file and stderr — stdout stays byte-identical.
-//!
 //! Each figure runs under `catch_unwind`: a panicking figure (a failed
 //! sweep point, a bug, an injected fault) marks that figure failed and the
 //! reproduction continues. A degraded run prints a failure summary to
 //! stderr and exits nonzero.
 
 use std::time::Instant;
-use zerodev_bench::{figures, report};
-use zerodev_common::env;
-use zerodev_sim::parallel;
-use zerodev_sim::runner::RunParams;
+use zerodev_bench::figures;
 
 fn main() {
     let t_all = Instant::now();
-    let timings = zerodev_bench::run_figures_timed(figures::ALL);
-    let failed = timings.iter().filter(|t| t.failed).count();
+    let failed = zerodev_bench::run_figures(figures::ALL);
     if failed == 0 {
         println!("\nall {} figures regenerated", figures::ALL.len());
     } else {
@@ -40,24 +29,7 @@ fn main() {
             figures::ALL.len()
         );
     }
-    let elapsed = t_all.elapsed();
-    zerodev_bench::print_sweep_summary(elapsed, failed);
-    if let Some(path) = std::env::var_os("ZERODEV_BENCH_JSON") {
-        eprintln!("measuring standardized gate probe for the BENCH report...");
-        let r = report::BenchReport {
-            pr: env::var_or("ZERODEV_BENCH_PR", 0u32),
-            threads: RunParams::from_env().threads,
-            quick: env::var_flag("ZERODEV_QUICK"),
-            wall_secs: elapsed.as_secs_f64(),
-            summary: parallel::summary(),
-            gate: report::measure_gate(),
-            figures: timings,
-        };
-        match std::fs::write(&path, r.to_json()) {
-            Ok(()) => eprintln!("{}\nwrote {}", r.digest(), path.to_string_lossy()),
-            Err(e) => eprintln!("failed to write {}: {e}", path.to_string_lossy()),
-        }
-    }
+    zerodev_bench::print_sweep_summary(t_all.elapsed(), failed);
     if failed > 0 {
         std::process::exit(1);
     }

@@ -1,115 +1,285 @@
-//! CI perf regression gate.
+//! Same-host A/B performance gate.
 //!
-//! `cargo run --release -p zerodev-bench --bin perf_gate -- <BENCH_prev.json>`
+//! `cargo run --release -p zerodev-bench --bin perf_gate -- [BASE]`
 //!
-//! Re-measures the standardized gate probe (`zerodev_bench::report::
-//! measure_gate`: a fixed serial simulation pair and a bounded
-//! model-checker exploration) on the current build and
-//! compares it against the `gate_*` numbers of the committed report given
-//! as the argument. Exits nonzero when any gate metric regressed by more
-//! than [`MAX_REGRESSION`] (throughputs: lower is worse).
+//! Checks out `BASE` (default `HEAD`) with `git worktree` under
+//! `target/perf_gate/`, builds `perfbench` from that checkout and from the
+//! working tree, each into its own target dir, and runs [`PAIRS`] pairs of
+//! every workload named in `BENCHMARK.json` for [`SECONDS`] s each,
+//! alternating which side goes first. Only `refs_per_s` is judged
+//! ([`judge`]). The worktree is removed when the gate exits, pass or fail.
 //!
-//! The comparison normalizes on the standardized probe *only*: the
-//! committed report's full-run numbers depend on that run's `quick`/
-//! `threads` mode (e.g. `BENCH_6.json` was recorded quick with 4 sweep
-//! threads), so they are never compared — the gate numbers are measured
-//! serially under fixed parameters on both sides, keeping the check
-//! apples-to-apples regardless of how the baseline's full run was
-//! configured. The baseline's mode flags are echoed so a surprising
-//! verdict can be read in context.
-//!
-//! Baselines must carry a known schema tag (`zerodev-bench-v1` or `-v2`);
-//! a missing or unknown schema, or a missing/malformed gate field, is a
-//! structured failure naming the field and file — never a panic. Both
-//! schemas carry the three compared `gate_*` fields; keys only `v2` has are
-//! ignored.
-//!
-//! Skip in CI with `ZERODEV_NO_PERF_GATE=1` (handled by `scripts/ci.sh`;
-//! the binary also honours it so a local invocation behaves the same).
+//! Each side is built with its tree's path remapped to `.`, so both embed
+//! the same source paths: panic-location strings of different lengths
+//! shift code layout enough to read as a few percent on `mc_matrix`.
 
-use zerodev_bench::report::{
-    json_number, json_number_required, json_string, measure_gate, SCHEMA, SCHEMA_V2,
-};
-use zerodev_common::env;
+use std::path::{Path, PathBuf};
+use std::process::{Command, ExitCode};
 
-/// Allowed fractional throughput drop before the gate fails (0.25 = 25%).
-const MAX_REGRESSION: f64 = 0.25;
+/// Pairs of runs per workload. If unchanged code won or lost each pair at
+/// random, the nine-tenths rule of [`judge`] would fail about one gate run
+/// (of five workloads) in twenty at ten pairs, and one in sixty at twelve.
+const PAIRS: usize = 12;
+/// `--seconds` of each perfbench run.
+const SECONDS: &str = "2";
 
-fn main() {
-    if env::var_flag("ZERODEV_NO_PERF_GATE") {
-        println!("perf gate: skipped (ZERODEV_NO_PERF_GATE=1)");
-        return;
-    }
-    let path = std::env::args().nth(1).unwrap_or_else(|| {
-        eprintln!("usage: perf_gate <BENCH_prev.json>");
-        std::process::exit(2);
-    });
-    let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        eprintln!("perf gate: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let schema = json_string(&committed, "schema").unwrap_or_else(|| {
-        eprintln!("perf gate: {path}: field \"schema\" is missing or not a string");
-        std::process::exit(2);
-    });
-    if schema != SCHEMA && schema != SCHEMA_V2 {
-        eprintln!(
-            "perf gate: {path}: unknown schema {schema:?} \
-             (expected {SCHEMA:?} or {SCHEMA_V2:?})"
-        );
-        std::process::exit(2);
-    }
-    // Full-run numbers depend on the baseline's mode; the gate never
-    // compares them, but echo the flags so the context is visible.
-    let quick = if committed.contains("\"quick\": true") {
-        Some(true)
-    } else if committed.contains("\"quick\": false") {
-        Some(false)
-    } else {
-        None
+/// What the gate reads from one perfbench run; the default is an
+/// unreadable run, which counts as incorrect.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct Run {
+    refs_per_s: f64,
+    correct: bool,
+    failed: u64,
+}
+
+/// Parses perfbench's stdout: the `refs_per_s value unit` line and the
+/// final JSON line's `correct` and `failed`. `None` if either is missing.
+fn parse_run(stdout: &str) -> Option<Run> {
+    let refs_per_s = stdout.lines().find_map(|l| {
+        let mut f = l.split_whitespace();
+        (f.next() == Some("refs_per_s")).then(|| f.next()?.parse().ok())?
+    })?;
+    let json = stdout.lines().rev().find(|l| l.starts_with('{'))?;
+    let field = |key: &str| {
+        let at = json.find(&format!("\"{key}\": "))? + key.len() + 4;
+        json[at..].split([',', '}']).next()
     };
-    let threads = json_number(&committed, "threads");
-    println!(
-        "perf gate: baseline {path} ({schema}, quick: {}, threads: {}) — \
-         comparing the standardized serial probe only",
-        quick.map_or("unknown".into(), |q| q.to_string()),
-        threads.map_or("unknown".into(), |t| format!("{t:.0}")),
+    Some(Run {
+        refs_per_s,
+        correct: field("correct")? == "true",
+        failed: field("failed")?.parse().ok()?,
+    })
+}
+
+/// The names in the `workloads` array of `BENCHMARK.json`.
+fn workload_names(benchmark_json: &str) -> Vec<String> {
+    let Some(at) = benchmark_json.find("\"workloads\"") else {
+        return Vec::new();
+    };
+    let list = &benchmark_json[at..];
+    let list = &list[..list.find(']').unwrap_or(list.len())];
+    let name = |s: &str| Some(s.split('"').nth(1)?.to_string());
+    list.split("\"name\"").skip(1).filter_map(name).collect()
+}
+
+/// First quartile, median and third quartile of `refs_per_s`, linearly
+/// interpolated.
+fn quartiles(runs: &[Run]) -> [f64; 3] {
+    let mut v: Vec<f64> = runs.iter().map(|r| r.refs_per_s).collect();
+    v.sort_by(f64::total_cmp);
+    [0.25, 0.5, 0.75].map(|q| {
+        let pos = q * (v.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+    })
+}
+
+/// The decision for one workload; `base[i]` and `change[i]` are pair `i`.
+/// Fails if either side was incorrect, if the change failed more attempts,
+/// or if the change's `refs_per_s` lost at least nine tenths of the pairs.
+/// There is no effect-size clause: on a 2-CPU host the base's own
+/// interquartile range reached 12%, as large as the loss of a 30% slower
+/// `core_model.miss`, and does not shrink with more pairs.
+fn judge(base: &[Run], change: &[Run]) -> Result<String, String> {
+    if base.iter().chain(change).any(|r| !r.correct) {
+        return Err("a run reported \"correct\": false".into());
+    }
+    let failed = |runs: &[Run]| runs.iter().map(|r| r.failed).sum::<u64>();
+    let (fb, fc) = (failed(base), failed(change));
+    if fc > fb {
+        return Err(format!("{fc} failed attempts against {fb}"));
+    }
+    let ([b_q1, b_med, b_q3], [_, c_med, _]) = (quartiles(base), quartiles(change));
+    let iqr = b_q3 - b_q1;
+    let pairs = base.iter().zip(change);
+    let lost = pairs.filter(|(b, c)| c.refs_per_s < b.refs_per_s).count();
+    let line = format!(
+        "refs_per_s median {b_med:.0} -> {c_med:.0} ({:.3}x, base IQR {iqr:.0}), lost {lost}/{}",
+        c_med / b_med,
+        base.len()
     );
-    println!("perf gate: measuring standardized probe...");
-    let fresh = measure_gate();
-    let checks = [
-        ("gate_sim_cycles_per_sec", fresh.sim_cycles_per_sec),
-        ("gate_refs_per_sec", fresh.refs_per_sec),
-        ("gate_mc_states_per_sec", fresh.mc_states_per_sec),
-    ];
-    let mut failed = false;
-    for (key, now) in checks {
-        let prev = match json_number_required(&committed, key) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("perf gate: {path}: {e}");
-                std::process::exit(2);
-            }
+    if lost * 10 >= base.len() * 9 {
+        Err(line)
+    } else {
+        Ok(line)
+    }
+}
+
+fn git(root: &Path, args: &[&str]) -> Result<String, String> {
+    let out = Command::new("git").arg("-C").arg(root).args(args).output();
+    let out = out.map_err(|e| format!("git: {e}"))?;
+    let text = |b: &[u8]| String::from_utf8_lossy(b).trim().to_string();
+    if !out.status.success() {
+        return Err(format!("git {}: {}", args.join(" "), text(&out.stderr)));
+    }
+    Ok(text(&out.stdout))
+}
+
+/// A checked-out base revision, removed on drop.
+struct Worktree {
+    root: PathBuf,
+    path: String,
+}
+
+impl Worktree {
+    fn add(root: &Path, rev: &str) -> Result<Self, String> {
+        let path = root.join("target/perf_gate/base");
+        let tree = Self {
+            root: root.into(),
+            path: path.to_string_lossy().into(),
         };
-        if prev <= 0.0 {
-            println!("  {key:<24} baseline non-positive ({prev}); skipping");
-            continue;
+        // A gate killed before its cleanup leaves the checkout behind.
+        let _ = git(root, &["worktree", "remove", "--force", &tree.path]);
+        let _ = std::fs::remove_dir_all(&path);
+        git(root, &["worktree", "prune"])?;
+        git(root, &["worktree", "add", "--detach", &tree.path, rev])?;
+        Ok(tree)
+    }
+}
+
+impl Drop for Worktree {
+    fn drop(&mut self) {
+        if let Err(e) = git(&self.root, &["worktree", "remove", "--force", &self.path]) {
+            eprintln!("perf gate: {e}");
         }
-        let ratio = now / prev;
-        let verdict = if ratio < 1.0 - MAX_REGRESSION {
-            failed = true;
-            "REGRESSED"
-        } else {
-            "ok"
+    }
+}
+
+/// Builds `tree`'s perfbench into `target` and returns the binary.
+fn build(tree: &Path, target: &Path) -> Result<PathBuf, String> {
+    let manifest = tree.join("perfbench/Cargo.toml");
+    let remap = format!("--remap-path-prefix={}=.", tree.display());
+    let status = Command::new("cargo")
+        .args("build --offline --release --quiet --manifest-path".split(' '))
+        .arg(&manifest)
+        .arg("--target-dir")
+        .arg(target)
+        .env("RUSTFLAGS", remap)
+        .status();
+    if !status.map_err(|e| format!("cargo: {e}"))?.success() {
+        return Err(format!("building {} failed", manifest.display()));
+    }
+    Ok(target.join("release/zerodev-perfbench"))
+}
+
+/// One perfbench run.
+fn bench(bin: &Path, workload: &str) -> Run {
+    let args = ["--workload", workload, "--seconds", SECONDS];
+    let out = Command::new(bin).args(args).output().ok();
+    let stdout = out.map(|o| String::from_utf8_lossy(&o.stdout).into_owned());
+    stdout.as_deref().and_then(parse_run).unwrap_or_default()
+}
+
+fn gate(base_rev: &str) -> Result<bool, String> {
+    let root = PathBuf::from(git(Path::new("."), &["rev-parse", "--show-toplevel"])?);
+    let spec = std::fs::read_to_string(root.join("BENCHMARK.json"));
+    let workloads = workload_names(&spec.map_err(|e| format!("BENCHMARK.json: {e}"))?);
+    if workloads.is_empty() {
+        return Err("BENCHMARK.json names no workloads".into());
+    }
+    let worktree = Worktree::add(&root, base_rev)?;
+    println!("perf gate: building perfbench at {base_rev} and in the working tree");
+    let dir = |name: &str| root.join("target/perf_gate").join(name);
+    let base_bin = build(Path::new(&worktree.path), &dir("build-base"))?;
+    let bins = [base_bin, build(&root, &dir("build-change"))?];
+    let mut pass = true;
+    for w in &workloads {
+        let mut runs = [Vec::new(), Vec::new()];
+        for i in 0..PAIRS {
+            for side in [i % 2, 1 - i % 2] {
+                runs[side].push(bench(&bins[side], w));
+            }
+        }
+        let verdict = judge(&runs[0], &runs[1]);
+        pass &= verdict.is_ok();
+        let (tag, line) = verdict.map_or_else(|l| ("FAIL", l), |l| ("ok", l));
+        println!("  {w:<10} {tag:<5} {line}");
+    }
+    Ok(pass)
+}
+
+fn main() -> ExitCode {
+    let base_rev = std::env::args().nth(1).unwrap_or_else(|| "HEAD".into());
+    let (code, msg) = match gate(&base_rev) {
+        Ok(true) => (0, format!("ok against {base_rev}")),
+        Ok(false) => (1, format!("the working tree fails against {base_rev}")),
+        Err(e) => (2, e),
+    };
+    println!("perf gate: {msg}");
+    ExitCode::from(code)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const BASE: [f64; 10] = [100., 104., 97., 101., 99., 103., 96., 102., 98., 100.];
+
+    fn runs(refs: impl IntoIterator<Item = f64>) -> Vec<Run> {
+        let run = |refs_per_s| Run {
+            refs_per_s,
+            correct: true,
+            failed: 0,
         };
-        println!("  {key:<24} {prev:>14.0} -> {now:>14.0}  ({ratio:>5.2}x)  {verdict}");
+        refs.into_iter().map(run).collect()
     }
-    if failed {
-        eprintln!(
-            "perf gate: throughput regressed more than {:.0}% vs {path}",
-            MAX_REGRESSION * 100.0
-        );
-        std::process::exit(1);
+
+    #[test]
+    fn identical_samples_pass() {
+        assert!(judge(&runs(BASE), &runs(BASE)).is_ok());
     }
-    println!("perf gate: ok");
+
+    #[test]
+    fn a_20_percent_loss_on_every_pair_fails() {
+        assert!(judge(&runs(BASE), &runs(BASE.map(|v| v * 0.8))).is_err());
+    }
+
+    #[test]
+    fn losing_eight_of_ten_pairs_passes() {
+        let mut slow = BASE.map(|v| v * 0.8);
+        (slow[3], slow[7]) = (200.0, 200.0);
+        assert!(judge(&runs(BASE), &runs(slow)).is_ok());
+    }
+
+    #[test]
+    fn losing_nine_of_ten_pairs_fails_even_inside_the_iqr() {
+        let mut close = BASE.map(|v| v - 1.0);
+        close[3] = 200.0;
+        assert!(judge(&runs(BASE), &runs(close)).is_err());
+    }
+
+    #[test]
+    fn an_incorrect_run_on_either_side_fails() {
+        let mut bad = runs(BASE);
+        bad[5].correct = false;
+        assert!(judge(&bad, &runs(BASE)).is_err());
+        assert!(judge(&runs(BASE), &bad).is_err());
+    }
+
+    #[test]
+    fn more_failed_attempts_on_the_change_fail() {
+        let mut more = runs(BASE);
+        more[0].failed = 1;
+        assert!(judge(&runs(BASE), &more).is_err());
+        assert!(judge(&more, &runs(BASE)).is_ok());
+    }
+
+    #[test]
+    fn perfbench_output_parses() {
+        let out = "seed 0x5eed2021\nrefs_per_s  2350000.5 1/s\nsetup_s 0.02 s\n\
+                   {\"correct\": false, \"attempted\": 7, \"failed\": 2, \"metrics\": {}}\n";
+        let mut want = runs([2_350_000.5]);
+        want[0].correct = false;
+        want[0].failed = 2;
+        assert_eq!(parse_run(out), Some(want[0]));
+        assert_eq!(parse_run("refs_per_s 1 1/s\n"), None);
+    }
+
+    #[test]
+    fn benchmark_json_names_the_five_workloads() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCHMARK.json");
+        let spec = std::fs::read_to_string(path).unwrap();
+        let want = ["hits8", "spill8", "socket4", "audit8", "mc_matrix"];
+        assert_eq!(workload_names(&spec), want);
+    }
 }

@@ -28,9 +28,6 @@ use zerodev_sim::runner::{run, RunParams, RunWithEnergy};
 use zerodev_workloads::{multithreaded, rate, suites, Workload};
 
 pub mod figures;
-#[cfg(feature = "criterion-benches")]
-pub mod microbench;
-pub mod report;
 
 /// Seed used by every figure harness (results are fully deterministic).
 pub const SEED: u64 = 0x5eed_2021;
@@ -372,13 +369,6 @@ pub fn print_sweep_summary(elapsed: Duration, failed_figures: usize) {
 /// failed figures; when nonzero, a degraded-sweep summary — every failed
 /// figure and every failed sweep point — is printed to stderr.
 pub fn run_figures(figs: &[(&str, fn())]) -> usize {
-    run_figures_timed(figs).iter().filter(|t| t.failed).count()
-}
-
-/// [`run_figures`], additionally returning each figure's wall time and
-/// outcome (the `BENCH_<pr>.json` `figures` array).
-pub fn run_figures_timed(figs: &[(&str, fn())]) -> Vec<report::FigureTiming> {
-    let mut timings = Vec::with_capacity(figs.len());
     let mut failed: Vec<(&str, String)> = Vec::new();
     for &(name, fig) in figs {
         let t0 = std::time::Instant::now();
@@ -388,7 +378,6 @@ pub fn run_figures_timed(figs: &[(&str, fn())]) -> Vec<report::FigureTiming> {
         let outcome = std::panic::catch_unwind(fig);
         parallel::set_sweep_context(None);
         let wall = t0.elapsed();
-        let fig_failed = outcome.is_err();
         if let Err(p) = outcome {
             let msg = p
                 .downcast_ref::<String>()
@@ -400,11 +389,6 @@ pub fn run_figures_timed(figs: &[(&str, fn())]) -> Vec<report::FigureTiming> {
         } else {
             eprintln!("[{name}: {wall:?}]");
         }
-        timings.push(report::FigureTiming {
-            name: name.to_string(),
-            secs: wall.as_secs_f64(),
-            failed: fig_failed,
-        });
     }
     if !failed.is_empty() {
         eprintln!("\ndegraded reproduction: {} figure(s) failed", failed.len());
@@ -420,5 +404,5 @@ pub fn run_figures_timed(figs: &[(&str, fn())]) -> Vec<report::FigureTiming> {
             }
         }
     }
-    timings
+    failed.len()
 }

@@ -78,17 +78,6 @@ impl Default for Limits {
     }
 }
 
-impl Limits {
-    /// A bounded exploration for a quick probe: the `perf_gate` model-checker
-    /// probe in `zerodev-bench` uses it.
-    pub fn quick() -> Self {
-        Limits {
-            max_states: 4000,
-            max_depth: 24,
-        }
-    }
-}
-
 /// A violated invariant plus the shortest event trace reaching it.
 #[derive(Clone, Debug)]
 pub struct Violation {

@@ -10,7 +10,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== clippy (deny warnings) =="
-cargo clippy --workspace --all-targets --all-features -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== rustfmt check =="
 cargo fmt --all -- --check
@@ -76,19 +76,19 @@ echo "soak quarantine check passed"
 echo "== model checker (exhaustive matrix + mutation hunt) =="
 cargo run --release -p zerodev_model >/dev/null
 
-echo "== perf regression gate (standardized probe vs committed BENCH) =="
-# Re-measures the fixed serial probe and compares against the newest
-# committed BENCH_<pr>.json (>25% throughput drop fails). Skip with
-# ZERODEV_NO_PERF_GATE=1 (e.g. on loaded or throttled machines).
+echo "== perf gate (same-host A/B of perfbench) =="
+# Builds perfbench at a base revision and in the working tree and runs
+# alternating pairs of every BENCHMARK.json workload; fails when the
+# working tree loses nine tenths of a workload's refs_per_s pairs, on an
+# incorrect run or on extra failed attempts (README, "Benchmarks and the
+# perf gate"). The base is HEAD when the tree has uncommitted changes,
+# else HEAD~1. Skip with ZERODEV_NO_PERF_GATE=1 (e.g. on loaded or
+# throttled machines).
 if [[ "${ZERODEV_NO_PERF_GATE:-0}" == "1" ]]; then
     echo "perf gate: skipped (ZERODEV_NO_PERF_GATE=1)"
 else
-    bench_prev=$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1 || true)
-    if [[ -z "$bench_prev" ]]; then
-        echo "perf gate: no committed BENCH_*.json found; skipping"
-    else
-        cargo run --release -p zerodev-bench --bin perf_gate -- "$bench_prev"
-    fi
+    if [[ -n "$(git status --porcelain)" ]]; then base=HEAD; else base=HEAD~1; fi
+    cargo run --release -p zerodev-bench --bin perf_gate -- "$base"
 fi
 
 echo "CI green."
