@@ -2,19 +2,21 @@
 //!
 //! `cargo run --release -p zerodev-bench --bin perf_gate -- [BASE]`
 //!
-//! Checks out `BASE` (default `HEAD`) with `git worktree` under
-//! `target/perf_gate/`, builds `perfbench` from that checkout and from the
-//! working tree, each into its own target dir, and runs [`PAIRS`] pairs of
-//! every workload named in `BENCHMARK.json` for [`SECONDS`] s each,
+//! Builds `perfbench` twice from one source directory,
+//! `target/perf_gate/src`, into one target dir: first with `BASE` (default
+//! `HEAD`) checked out there, then with the working tree's tracked and
+//! untracked-but-not-ignored files in its place. Then runs [`PAIRS`] pairs
+//! of every workload named in `BENCHMARK.json` for [`SECONDS`] s each,
 //! alternating which side goes first. Only `refs_per_s` is judged
-//! ([`judge`]). The worktree is removed when the gate exits, pass or fail.
+//! ([`judge`]).
 //!
-//! Each side is built with its tree's path remapped to `.`, so both embed
-//! the same source paths: panic-location strings of different lengths
-//! shift code layout enough to read as a few percent on `mc_matrix`.
+//! One directory for both sides is what makes unchanged code build to the
+//! same binary: cargo's `-C metadata` hash covers each path package's
+//! location, so the same sources built from two directories differ in
+//! symbol names and code layout.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, ExitCode};
+use std::process::{Command, ExitCode, Stdio};
 
 /// Pairs of runs per workload. If unchanged code won or lost each pair at
 /// random, the nine-tenths rule of [`judge`] would fail about one gate run
@@ -115,46 +117,71 @@ fn git(root: &Path, args: &[&str]) -> Result<String, String> {
     Ok(text(&out.stdout))
 }
 
-/// A checked-out base revision, removed on drop.
-struct Worktree {
-    root: PathBuf,
-    path: String,
+/// Empties `src`, creating it if needed.
+fn reset(src: &Path) -> Result<(), String> {
+    let _ = std::fs::remove_dir_all(src);
+    std::fs::create_dir_all(src).map_err(|e| format!("{}: {e}", src.display()))
 }
 
-impl Worktree {
-    fn add(root: &Path, rev: &str) -> Result<Self, String> {
-        let path = root.join("target/perf_gate/base");
-        let tree = Self {
-            root: root.into(),
-            path: path.to_string_lossy().into(),
-        };
-        // A gate killed before its cleanup leaves the checkout behind.
-        let _ = git(root, &["worktree", "remove", "--force", &tree.path]);
-        let _ = std::fs::remove_dir_all(&path);
-        git(root, &["worktree", "prune"])?;
-        git(root, &["worktree", "add", "--detach", &tree.path, rev])?;
-        Ok(tree)
+/// Fills `src` with the tree of revision `rev`.
+fn checkout(root: &Path, rev: &str, src: &Path) -> Result<(), String> {
+    reset(src)?;
+    let mut archive = Command::new("git")
+        .arg("-C")
+        .arg(root)
+        .args(["archive", "--format=tar", rev])
+        .stdout(Stdio::piped())
+        .spawn()
+        .map_err(|e| format!("git archive: {e}"))?;
+    // `-m` stamps the files now: with the archive's commit-time stamps,
+    // cargo would take the previous gate run's artifacts for up to date.
+    let tar = Command::new("tar")
+        .args(["-x", "-m", "-C"])
+        .arg(src)
+        .stdin(archive.stdout.take().expect("piped"))
+        .status();
+    let archived = archive.wait().map_err(|e| format!("git archive: {e}"))?;
+    if !archived.success() || !tar.map_err(|e| format!("tar: {e}"))?.success() {
+        return Err(format!("checking out {rev} into {} failed", src.display()));
     }
+    Ok(())
 }
 
-impl Drop for Worktree {
-    fn drop(&mut self) {
-        if let Err(e) = git(&self.root, &["worktree", "remove", "--force", &self.path]) {
-            eprintln!("perf gate: {e}");
+/// Fills `src` with the working tree's tracked and untracked-but-not-ignored
+/// files (a tracked file deleted from the working tree stays out).
+fn sync(root: &Path, src: &Path) -> Result<(), String> {
+    reset(src)?;
+    let files = git(
+        root,
+        &[
+            "ls-files",
+            "-z",
+            "--cached",
+            "--others",
+            "--exclude-standard",
+        ],
+    )?;
+    for rel in files.split('\0').filter(|f| !f.is_empty()) {
+        let from = root.join(rel);
+        if !from.is_file() {
+            continue;
         }
+        let to = src.join(rel);
+        let copied = std::fs::create_dir_all(to.parent().expect("a file has a parent"))
+            .and_then(|()| std::fs::copy(&from, &to));
+        copied.map_err(|e| format!("{}: {e}", to.display()))?;
     }
+    Ok(())
 }
 
-/// Builds `tree`'s perfbench into `target` and returns the binary.
-fn build(tree: &Path, target: &Path) -> Result<PathBuf, String> {
-    let manifest = tree.join("perfbench/Cargo.toml");
-    let remap = format!("--remap-path-prefix={}=.", tree.display());
+/// Builds `src`'s perfbench into `target` and returns the binary.
+fn build(src: &Path, target: &Path) -> Result<PathBuf, String> {
+    let manifest = src.join("perfbench/Cargo.toml");
     let status = Command::new("cargo")
         .args("build --offline --release --quiet --manifest-path".split(' '))
         .arg(&manifest)
         .arg("--target-dir")
         .arg(target)
-        .env("RUSTFLAGS", remap)
         .status();
     if !status.map_err(|e| format!("cargo: {e}"))?.success() {
         return Err(format!("building {} failed", manifest.display()));
@@ -177,11 +204,15 @@ fn gate(base_rev: &str) -> Result<bool, String> {
     if workloads.is_empty() {
         return Err("BENCHMARK.json names no workloads".into());
     }
-    let worktree = Worktree::add(&root, base_rev)?;
     println!("perf gate: building perfbench at {base_rev} and in the working tree");
-    let dir = |name: &str| root.join("target/perf_gate").join(name);
-    let base_bin = build(Path::new(&worktree.path), &dir("build-base"))?;
-    let bins = [base_bin, build(&root, &dir("build-change"))?];
+    let dir = root.join("target/perf_gate");
+    let (src, target) = (dir.join("src"), dir.join("build"));
+    checkout(&root, base_rev, &src)?;
+    let base_bin = dir.join("zerodev-perfbench-base");
+    let copied = std::fs::copy(build(&src, &target)?, &base_bin);
+    copied.map_err(|e| format!("{}: {e}", base_bin.display()))?;
+    sync(&root, &src)?;
+    let bins = [base_bin, build(&src, &target)?];
     let mut pass = true;
     for w in &workloads {
         let mut runs = [Vec::new(), Vec::new()];

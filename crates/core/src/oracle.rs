@@ -268,9 +268,11 @@ impl StatsSnap {
     }
 }
 
-/// How many transactions pass between full shadow-map sweeps. Per-block
-/// checks run on every transaction; the sweep re-verifies blocks the
-/// transaction did not touch (e.g. victims of unrelated LLC churn).
+/// How many transactions pass between the machine-wide checks: the
+/// spilled-lines gauge, the stats conservation laws and
+/// [`System::check_invariants`], all O(LLC lines). Per-block checks run in
+/// every hook over the blocks that hook's flow mutated; the walk over the
+/// whole shadow map runs only at the end of a run ([`Oracle::full_sweep`]).
 const SWEEP_EVERY: u64 = 4096;
 
 /// Default event-log depth.
@@ -297,6 +299,15 @@ pub struct Oracle {
     log: EventLog,
     txns: u64,
     snap: StatsSnap,
+    /// Blocks whose checked state the current flow changed (engine side,
+    /// filled through [`System`]'s choke points) or the current hook
+    /// changed (shadow side). Every hook checks and drains it, so it is
+    /// never live between transactions.
+    mutated: Vec<BlockAddr>,
+    /// Every block a hook checked, in order (the recorded-set completeness
+    /// test reads it).
+    #[cfg(test)]
+    checked: Vec<BlockAddr>,
 }
 
 impl Oracle {
@@ -317,6 +328,9 @@ impl Oracle {
             log: EventLog::new(LOG_DEPTH),
             txns: 0,
             snap: StatsSnap::default(),
+            mutated: Vec::new(),
+            #[cfg(test)]
+            checked: Vec::new(),
         }
     }
 
@@ -333,8 +347,9 @@ impl Oracle {
     /// Serializes the audit state that affects behaviour: the transaction
     /// count (sweep cadence) and the shadow map, in sorted block order so
     /// the image is deterministic. The event ring buffer is diagnostics
-    /// only and restores empty; the per-transaction stats snapshot is never
-    /// live between transactions and restores to its default.
+    /// only and restores empty; the per-transaction stats snapshot and the
+    /// mutated-block list are never live between transactions and restore
+    /// to their defaults.
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
         let Oracle {
             sockets: _,     // audit mode flag, config-derived
@@ -345,7 +360,10 @@ impl Oracle {
             shadow,
             log: _, // diagnostics only; restores empty
             txns,
-            snap: _, // never live between transactions
+            snap: _,    // never live between transactions
+            mutated: _, // drained by every hook
+            #[cfg(test)]
+                checked: _,
         } = self;
         w.u64(*txns);
         let mut blocks: Vec<BlockAddr> = shadow.iter().map(|(k, _)| BlockAddr(k)).collect();
@@ -390,6 +408,9 @@ impl Oracle {
             log,
             txns,
             snap,
+            mutated,
+            #[cfg(test)]
+                checked: _,
         } = self;
         *txns = r.u64("oracle txns")?;
         let n = r.usize("oracle shadow len")?;
@@ -419,6 +440,7 @@ impl Oracle {
         *shadow = image;
         *log = EventLog::new(LOG_DEPTH);
         *snap = StatsSnap::default();
+        mutated.clear();
         Ok(())
     }
 
@@ -427,6 +449,13 @@ impl Oracle {
     /// Called at the top of `System::access`, before any counter moves.
     pub(crate) fn begin_access(&mut self, stats: &Stats) {
         self.snap = StatsSnap::of(stats);
+    }
+
+    /// Records that the running flow changed `block`'s dedicated entry, LLC
+    /// line, housed segment, corruption flag or socket-directory entry.
+    #[inline]
+    pub(crate) fn record(&mut self, block: BlockAddr) {
+        self.mutated.push(block);
     }
 
     /// Called at the end of `System::access` with the transaction outcome.
@@ -448,6 +477,7 @@ impl Oracle {
         // invalidations, then the grant.
         for d in downgrades {
             self.log.push(AuditEvent::Downgrade(*d));
+            self.mutated.push(d.block);
             let sb = self.entry(d.block);
             if sb.owner == Some((d.socket, d.core)) {
                 sb.owner = None;
@@ -478,14 +508,9 @@ impl Oracle {
         });
 
         self.check_access_stat_deltas(sys, block, op);
-        self.check_block(sys, block);
-        for i in invals {
-            if i.block != block {
-                self.check_block(sys, i.block);
-            }
-        }
+        self.check_mutated(sys, block);
         if self.txns.is_multiple_of(SWEEP_EVERY) {
-            self.full_sweep(sys);
+            self.check_machine(sys);
         }
     }
 
@@ -531,12 +556,7 @@ impl Oracle {
         for i in invals {
             self.apply_inval(sys, i);
         }
-        self.check_block(sys, block);
-        for i in invals {
-            if i.block != block {
-                self.check_block(sys, i.block);
-            }
-        }
+        self.check_mutated(sys, block);
     }
 
     /// Called after `System::dev_dirty_recall_into` (baseline
@@ -552,7 +572,7 @@ impl Oracle {
         for i in invals {
             self.apply_inval(sys, i);
         }
-        self.check_block(sys, block);
+        self.check_mutated(sys, block);
     }
 
     /// Called after `System::sharing_writeback`.
@@ -564,7 +584,7 @@ impl Oracle {
     ) {
         self.log
             .push(AuditEvent::SharingWriteback { socket, block });
-        self.check_block(sys, block);
+        self.check_mutated(sys, block);
     }
 
     /// Called after `System::inclusion_dirty_writeback`.
@@ -576,7 +596,7 @@ impl Oracle {
     ) {
         self.log
             .push(AuditEvent::InclusionWriteback { socket, block });
-        self.check_block(sys, block);
+        self.check_mutated(sys, block);
     }
 
     // -- shadow updates ---------------------------------------------------
@@ -591,6 +611,7 @@ impl Oracle {
 
     fn apply_inval(&mut self, sys: &System, i: &Invalidation) {
         self.log.push(AuditEvent::Invalidate(*i));
+        self.mutated.push(i.block);
         if self.zerodev && i.reason == InvalReason::Dev {
             self.fail(
                 sys,
@@ -617,6 +638,23 @@ impl Oracle {
     }
 
     // -- checks -----------------------------------------------------------
+
+    /// Runs [`Self::check_block`] once over each distinct block the hook's
+    /// flow or shadow update mutated, plus the hook's own `block`, and
+    /// drains the list.
+    fn check_mutated(&mut self, sys: &System, block: BlockAddr) {
+        let mut mutated = std::mem::take(&mut self.mutated);
+        mutated.push(block);
+        mutated.sort_unstable();
+        mutated.dedup();
+        for &b in &mutated {
+            self.check_block(sys, b);
+        }
+        #[cfg(test)]
+        self.checked.extend_from_slice(&mutated);
+        mutated.clear();
+        self.mutated = mutated;
+    }
 
     fn check_access_stat_deltas(&mut self, sys: &System, block: BlockAddr, op: Op) {
         let stats = &sys.stats;
@@ -670,19 +708,29 @@ impl Oracle {
 
     /// Checks every invariant that can be stated about a single block.
     /// Exposed within the crate so [`System::audit_check_block`] can verify
-    /// a freshly fault-injected block without waiting for the next sweep.
+    /// a block corrupted from outside any flow (fault injection), which no
+    /// hook would otherwise check before the end-of-run sweep.
     pub(crate) fn check_block(&self, sys: &System, block: BlockAddr) {
+        let mem = sys.memory();
+        let corrupted = mem.is_corrupted(block);
         let fallback;
         let sb = match self.shadow.get(block.0) {
             Some(sb) => sb,
             None => {
+                // A home block becomes corrupted only through an observed
+                // transaction, which puts it in the shadow map.
+                if corrupted {
+                    self.fail(
+                        sys,
+                        block,
+                        "corrupted block never seen in the access stream",
+                    );
+                }
                 fallback = ShadowBlock::new(self.sockets);
                 &fallback
             }
         };
-        let mem = sys.memory();
-        let corrupted = mem.is_corrupted(block);
-        let home = sys.config().home_socket(block);
+        let sd = mem.socket_dir_peek(sys.config().home_socket(block), block);
         let mut llc_data_somewhere = false;
 
         for s in 0..self.sockets {
@@ -786,7 +834,6 @@ impl Oracle {
             }
 
             if self.sockets > 1 {
-                let sd = mem.socket_dir_peek(home, block);
                 let trace =
                     !holders.is_empty() || entry.is_some() || segment.is_some() || line.is_some();
                 if trace && !sd.is_some_and(|e| e.sharers.contains(sid)) {
@@ -821,7 +868,6 @@ impl Oracle {
         // Socket-level ownership must cover any core-level owner, and an
         // owned socket entry is exclusive by construction.
         if self.sockets > 1 {
-            let sd = mem.socket_dir_peek(home, block);
             if let Some((os, _)) = sb.owner {
                 if !sd.is_some_and(|e| e.owned && e.owner() == Some(os)) {
                     self.fail(
@@ -867,22 +913,28 @@ impl Oracle {
         }
     }
 
-    /// Walks the whole shadow map plus global counters. Called
-    /// periodically from the access hook and once at the end of an audited
-    /// run (see [`System::audit_sweep`]).
+    /// Walks every block of the shadow map and every corrupted home block,
+    /// then runs the machine-wide checks. Runs once at the end of an audited
+    /// run (see [`System::audit_sweep`]): a corruption planted outside any
+    /// flow on a block no later transaction touches is caught here.
     pub fn full_sweep(&self, sys: &System) {
         let mut blocks: Vec<BlockAddr> = self.shadow.iter().map(|(k, _)| BlockAddr(k)).collect();
-        blocks.sort_unstable_by_key(|b| b.0);
+        blocks.sort_unstable();
         for b in blocks {
             self.check_block(sys, b);
         }
-        // Every corrupted home block must be known to the shadow map (it
-        // became corrupted through an observed transaction).
         for (b, _) in sys.memory().corrupted_blocks() {
             if !self.shadow.contains_key(b.0) {
-                self.fail(sys, b, "corrupted block never seen in the access stream");
+                self.check_block(sys, b); // fails: never seen in the stream
             }
         }
+        self.check_machine(sys);
+    }
+
+    /// The machine-wide checks, O(LLC lines): the spilled-lines gauge, the
+    /// stats conservation laws and [`System::check_invariants`]. Every
+    /// [`SWEEP_EVERY`] transactions and at the end of a run.
+    fn check_machine(&self, sys: &System) {
         // Gauge conservation: the spilled-lines gauge tracks the real LLC.
         let actual: usize = (0..self.sockets)
             .map(|s| sys.spilled_lines(SocketId(s as u8)))
@@ -950,6 +1002,9 @@ impl Oracle {
         );
     }
 }
+
+#[cfg(test)]
+mod recorded_set;
 
 #[cfg(test)]
 mod tests {

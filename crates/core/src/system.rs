@@ -419,9 +419,10 @@ impl System {
     }
 
     /// Runs the oracle's single-block invariant check over `block` now
-    /// (no-op without [`Self::enable_audit`]). The fault campaign calls
-    /// this right after [`Self::inject_state_fault`] so detection latency
-    /// is zero rather than "whenever the next sweep happens".
+    /// (no-op without [`Self::enable_audit`]). Hooks check only the blocks
+    /// their own flows mutated, so the fault campaign calls this right
+    /// after [`Self::inject_state_fault`]; otherwise the corruption waits
+    /// for the end-of-run [`Self::audit_sweep`].
     pub fn audit_check_block(&self, block: BlockAddr) {
         if let Some(o) = &self.oracle {
             o.check_block(self, block);
@@ -482,6 +483,32 @@ impl System {
     /// The memory side (diagnostics: corrupted blocks, DRAM counters).
     pub fn memory(&self) -> &MemorySide {
         &self.mem
+    }
+
+    /// Records for the oracle that the running flow changed `block`'s
+    /// checked state: a dedicated-directory entry, an LLC line, a housed
+    /// segment, the corruption flag or a socket-directory entry. The hook
+    /// that ends the flow checks every recorded block; with auditing off
+    /// this is one predictable branch.
+    #[inline]
+    fn record(&mut self, block: BlockAddr) {
+        if let Some(o) = self.oracle.as_deref_mut() {
+            o.record(block);
+        }
+    }
+
+    /// The memory side, for a flow about to change `block`'s housed
+    /// segments, corruption flag or socket-directory entry ([`Self::record`]).
+    #[inline]
+    fn mem_mut(&mut self, block: BlockAddr) -> &mut MemorySide {
+        self.record(block);
+        &mut self.mem
+    }
+
+    /// The attached oracle (the recorded-set completeness test).
+    #[cfg(test)]
+    pub(crate) fn oracle(&self) -> Option<&crate::oracle::Oracle> {
+        self.oracle.as_deref()
     }
 
     fn zd(&self) -> Option<ZeroDevConfig> {
@@ -549,7 +576,9 @@ impl System {
             *t += self.cfg.inter_socket_cycles;
             self.stats.msg(MsgClass::SocketData);
         }
-        let entry = self.mem.extract_entry(block, SocketId(s as u8))?;
+        let entry = self
+            .mem_mut(block)
+            .extract_entry(block, SocketId(s as u8))?;
         self.install_entry(now, s, block, entry, invals);
         self.track_live(-1); // re-installed, not newly live
                              // A degenerate LLC can refuse the placement and bounce the entry
@@ -571,6 +600,7 @@ impl System {
         entry: DirEntry,
         invals: &mut Vec<Invalidation>,
     ) {
+        self.record(block);
         self.stats.dir_allocs += 1;
         let outcome = self.sockets[s].dir.allocate(block, entry);
         self.track_live(1);
@@ -611,6 +641,7 @@ impl System {
         invals: &mut Vec<Invalidation>,
     ) {
         for (vblock, ventry) in victims {
+            self.record(*vblock);
             let n = ventry.sharers.count() as u64;
             self.stats.dev_invalidations += n;
             self.stats.msg_n(MsgClass::Invalidation, n);
@@ -682,6 +713,7 @@ impl System {
         invals: &mut Vec<Invalidation>,
     ) {
         debug_assert!(!entry.is_dead());
+        self.record(block);
         let bank = self.bank_of(block);
         let spill_policy = self.zd().map(|z| z.policy);
         match loc {
@@ -713,7 +745,7 @@ impl System {
                             // The spilled line vanished mid-transaction (a
                             // fill pushed it home via WB_DE); re-created
                             // here, so pull the housed segment back.
-                            let _ = self.mem.extract_entry(block, SocketId(s as u8));
+                            let _ = self.mem_mut(block).extract_entry(block, SocketId(s as u8));
                             self.stats.adjust_spilled_lines(1);
                             if let Some(v) = victim {
                                 self.handle_llc_victim(now, s, v, invals);
@@ -723,7 +755,7 @@ impl System {
                             // Vanished mid-transaction and the set cannot
                             // take it back: replace the housed segment with
                             // the updated entry.
-                            let _ = self.mem.extract_entry(block, SocketId(s as u8));
+                            let _ = self.mem_mut(block).extract_entry(block, SocketId(s as u8));
                             self.wbde(now, s, block, e);
                         }
                     }
@@ -774,6 +806,7 @@ impl System {
     /// the same transaction): the housed segment is discarded instead.
     // lint:consumes(Request, EvictNotice)
     fn free_entry(&mut self, s: usize, block: BlockAddr, loc: EntryLoc, retrieval: bool) {
+        self.record(block);
         let bank = self.bank_of(block);
         match loc {
             EntryLoc::Dedicated => {
@@ -827,7 +860,7 @@ impl System {
         {
             return;
         }
-        let _ = self.mem.extract_entry(block, me);
+        let _ = self.mem_mut(block).extract_entry(block, me);
         // Another socket may still hold copies (its segment or entry lives
         // on); only the system-wide last copy restores.
         let others_have_segments = self
@@ -852,7 +885,7 @@ impl System {
         if home.0 as usize != s {
             self.stats.msg(MsgClass::SocketData);
         }
-        self.mem.restore(block);
+        self.mem_mut(block).restore(block);
         self.mem.dram_write(now, home, block);
         self.stats.dram_writes += 1;
     }
@@ -872,7 +905,8 @@ impl System {
             Some(loc) => self.update_entry(now, s, block, entry, loc, invals),
             None => {
                 let home = self.cfg.home_socket(block);
-                self.mem.rewrite_entry(block, SocketId(s as u8), entry);
+                self.mem_mut(block)
+                    .rewrite_entry(block, SocketId(s as u8), entry);
                 self.mem.dram_write(now, home, block);
                 self.stats.dram_writes += 1;
             }
@@ -914,6 +948,7 @@ impl System {
         invals: &mut Vec<Invalidation>,
     ) {
         let (vblock, line) = victim;
+        self.record(vblock);
         match line {
             LlcLine::Data { dirty } => {
                 if self.cfg.llc_design == LlcDesign::Inclusive {
@@ -1002,7 +1037,9 @@ impl System {
         if home.0 as usize != s {
             self.stats.msg(MsgClass::SocketData);
         }
-        let rmw = self.mem.house_entry(block, SocketId(s as u8), entry);
+        let rmw = self
+            .mem_mut(block)
+            .house_entry(block, SocketId(s as u8), entry);
         if rmw {
             // Another socket's segment is housed: read-modify-write.
             self.stats.dram_reads_dir += 1;
@@ -1027,7 +1064,7 @@ impl System {
             self.stats.msg(MsgClass::SocketData);
         }
         if self.mem.is_corrupted(block) {
-            if let Some(entry) = self.mem.extract_entry(block, SocketId(s as u8)) {
+            if let Some(entry) = self.mem_mut(block).extract_entry(block, SocketId(s as u8)) {
                 // Plain-LRU ZeroDEV corner: the data line outlived its
                 // entry. Pull the entry back in before the data overwrite.
                 let mut dummy = Vec::new();
@@ -1040,7 +1077,7 @@ impl System {
                 .corrupted_block(block)
                 .is_none_or(|cb| cb.sockets().is_empty())
             {
-                self.mem.restore(block);
+                self.mem_mut(block).restore(block);
             }
         }
         self.mem.dram_write(now, home, block);
@@ -1069,12 +1106,12 @@ impl System {
                 self.stats.msg(MsgClass::SocketCtrl);
                 e.sharers.remove(SocketId(s as u8));
                 if e.sharers.is_empty() {
-                    self.mem.socket_dir_remove(home, block);
+                    self.mem_mut(block).socket_dir_remove(home, block);
                 } else {
                     if e.owner() == Some(SocketId(s as u8)) {
                         e.owned = false;
                     }
-                    self.mem.socket_dir_update(home, block, e);
+                    self.mem_mut(block).socket_dir_update(home, block, e);
                 }
             }
         }

@@ -110,7 +110,7 @@ impl System {
                 .topo
                 .bank_mc_latency(bank, 0, MsgClass::MemReadData.bytes())
             + 1;
-        self.mem.extract_entry(block, me)
+        self.mem_mut(block).extract_entry(block, me)
     }
 
     /// Decides the grant for an untracked-read LLC data hit on a
@@ -139,10 +139,10 @@ impl System {
             let mut se = lookup.entry.expect("checked above");
             se.owned = false;
             se.sharers.insert(me);
-            self.mem.socket_dir_update(home, block, se);
+            self.mem_mut(block).socket_dir_update(home, block, se);
             MesiState::Shared
         } else {
-            self.mem
+            self.mem_mut(block)
                 .socket_dir_update(home, block, SocketDirEntry::owned_by(me));
             MesiState::Exclusive
         }
@@ -247,7 +247,7 @@ impl System {
                     .bank_mc_latency(bank, 0, MsgClass::MemReadData.bytes())
                 + 1;
             let entry = self
-                .mem
+                .mem_mut(block)
                 .extract_entry(block, SocketId(s as u8))
                 .expect("corrupted single-socket block houses our segment");
             self.install_entry(now, s, block, entry, invals);
@@ -428,7 +428,7 @@ impl System {
                     owned: grant != MesiState::Shared,
                     sharers: SocketSet::only(SocketId(s as u8)),
                 };
-                self.mem.socket_dir_update(home, block, e);
+                self.mem_mut(block).socket_dir_update(home, block, e);
                 grant
             }
             Some(e) if corrupted && e.sharers.contains(SocketId(s as u8)) => {
@@ -446,7 +446,7 @@ impl System {
                     self.stats.msg(MsgClass::SocketData);
                 }
                 let entry = self
-                    .mem
+                    .mem_mut(block)
                     .extract_entry(block, SocketId(s as u8))
                     .expect("sharing socket without in-socket entry has a segment");
                 self.install_entry(now, s, block, entry, invals);
@@ -479,9 +479,9 @@ impl System {
                         let mut se = e;
                         se.owned = false;
                         se.sharers.insert(me);
-                        self.mem.socket_dir_update(home, block, se);
+                        self.mem_mut(block).socket_dir_update(home, block, se);
                     } else {
-                        self.mem
+                        self.mem_mut(block)
                             .socket_dir_update(home, block, SocketDirEntry::owned_by(me));
                     }
                     return grant;
@@ -515,7 +515,7 @@ impl System {
                     // departure_check on this block, which must not see the
                     // requester in the socket directory while its entry is
                     // still in flight.
-                    self.mem
+                    self.mem_mut(block)
                         .socket_dir_update(home, block, SocketDirEntry::owned_by(SocketId(s as u8)));
                     MesiState::Modified
                 } else {
@@ -540,7 +540,7 @@ impl System {
                         });
                     se.owned = false;
                     se.sharers.insert(SocketId(s as u8));
-                    self.mem.socket_dir_update(home, block, se);
+                    self.mem_mut(block).socket_dir_update(home, block, se);
                     grant
                 }
             }
@@ -595,7 +595,7 @@ impl System {
             self.stats.denf_nacks += 1;
             self.stats.msg(MsgClass::DenfNack);
             lat += self.cfg.inter_socket_cycles; // F → H nack
-            let seg = self.mem.extract_entry(block, f_socket);
+            let seg = self.mem_mut(block).extract_entry(block, f_socket);
             match seg {
                 Some(entry) => {
                     // Steps 8–11: H reads the corrupted block, extracts F's
@@ -704,7 +704,7 @@ impl System {
             }
             self.free_entry(f, block, loc, false);
         }
-        if let Some(entry) = self.mem.extract_entry(block, SocketId(f as u8)) {
+        if let Some(entry) = self.mem_mut(block).extract_entry(block, SocketId(f as u8)) {
             self.track_live(-1);
             // The housed segment still tracks this socket's private copies
             // (the entry went home via WB_DE); they must be invalidated
@@ -751,7 +751,7 @@ impl System {
         // no scratch list of "other" sockets is materialised.
         if !e.sharers.iter().any(|x| x != me) {
             if e.owner() != Some(me) {
-                self.mem
+                self.mem_mut(block)
                     .socket_dir_update(home, block, SocketDirEntry::owned_by(me));
             }
             return 0;
@@ -768,7 +768,7 @@ impl System {
             self.invalidate_socket_copies(now, other.0 as usize, block, invals);
         }
         lat += 2 * self.cfg.inter_socket_cycles; // worst-case inv + ack
-        self.mem
+        self.mem_mut(block)
             .socket_dir_update(home, block, SocketDirEntry::owned_by(me));
         lat
     }
@@ -948,9 +948,9 @@ impl System {
                     .is_none_or(|cb| cb.sockets().count() <= 1),
                 "sole owner implies at most our own segment"
             );
-            let _ = self.mem.extract_entry(block, me);
+            let _ = self.mem_mut(block).extract_entry(block, me);
             self.track_live(-1);
-            self.mem.restore(block);
+            self.mem_mut(block).restore(block);
             self.stats.msg(MsgClass::MemWrite);
             if home != me {
                 self.stats.msg(MsgClass::SocketData);
@@ -983,7 +983,7 @@ impl System {
         let mut e = entry;
         e.sharers.remove(core);
         if e.is_dead() {
-            let _ = self.mem.extract_entry(block, me);
+            let _ = self.mem_mut(block).extract_entry(block, me);
             self.track_live(-1);
             let bank = self.bank_of(block);
             let llc_has = self.sockets[s].banks[bank].block_line(block).is_some();
@@ -999,14 +999,14 @@ impl System {
                 if home != me {
                     self.stats.msg(MsgClass::SocketData);
                 }
-                self.mem.restore(block);
+                self.mem_mut(block).restore(block);
                 self.mem.dram_write(tr, home, block);
                 self.stats.dram_writes += 1;
             }
             self.departure_check(now, s, block);
         } else {
             // Step 6: send the updated entry back for writing.
-            self.mem.rewrite_entry(block, me, e);
+            self.mem_mut(block).rewrite_entry(block, me, e);
             self.mem.dram_write(tr, home, block);
             self.stats.dram_writes += 1;
         }
@@ -1193,7 +1193,7 @@ impl System {
     /// violation (used by tests and the property harness).
     pub fn check_invariants(&self) {
         let fpss = self.zd().map(|z| z.policy) == Some(SpillPolicy::FusePrivateSpillShared);
-        for (si, socket) in self.sockets.iter().enumerate() {
+        for socket in &self.sockets {
             for bank in &socket.banks {
                 for (block, line) in bank.iter() {
                     match line {
@@ -1231,7 +1231,6 @@ impl System {
                     }
                 }
             }
-            let _ = si;
         }
     }
 }

@@ -152,6 +152,49 @@ fn injected_lost_sharer_is_caught_with_event_log() {
     );
 }
 
+/// Hooks check only the blocks their flows mutated, so a corruption
+/// planted outside any flow on a block no later transaction touches is
+/// left to the end-of-run sweep. More transactions than the oracle's
+/// machine-wide check interval (4096) run on disjoint blocks first; the
+/// final [`System::audit_sweep`] must still flag the lost sharer.
+#[test]
+fn untouched_corruption_is_caught_by_the_final_sweep() {
+    let cfg =
+        SystemConfig::baseline_8core().with_zerodev(ZeroDevConfig::default(), DirectoryKind::None);
+    let mut sys = System::new(cfg).unwrap();
+    sys.enable_audit();
+    let block = BlockAddr(0x40);
+    let _ = sys.access(Cycle(0), SocketId(0), CoreId(0), block, Op::Read);
+    let _ = sys.access(Cycle(10), SocketId(0), CoreId(1), block, Op::Read);
+    assert!(sys.debug_inject_lost_sharer(SocketId(0), block));
+    // Each fresh block is read exclusively by core 2 and evicted again:
+    // no effects, and far too few blocks to displace `block`'s LLC line.
+    for i in 0..5_000u64 {
+        let b = BlockAddr(0x10_000 + i);
+        let now = Cycle(100 + 10 * i);
+        let r = sys.access(now, SocketId(0), CoreId(2), b, Op::Read);
+        assert_eq!(r.grant, MesiState::Exclusive);
+        assert!(r.invalidations.is_empty() && r.downgrades.is_empty());
+        let inv = sys.evict(now, SocketId(0), CoreId(2), b, EvictKind::CleanExclusive);
+        assert!(inv.is_empty());
+    }
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sys.audit_sweep()))
+        .expect_err("the final sweep must flag the untouched lost sharer");
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+        .expect("panic payload is a message");
+    assert!(
+        msg.contains("coherence oracle violation"),
+        "unexpected panic: {msg}"
+    );
+    assert!(
+        msg.contains("protocol events"),
+        "violation report must dump the event log: {msg}"
+    );
+}
+
 /// Regression test for the untracked-read socket grant bug: an LLC data
 /// hit in a socket whose cores all dropped their copies must not grant E
 /// while a *remote* socket still shares the block.
